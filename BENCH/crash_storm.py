@@ -25,7 +25,7 @@ sink = {"target_root": tgt, "num_partitions": 8}
 # clustering + write-time bounds in play (CoW so base files cluster)
 if os.environ.get("PARTITION_BY"):
     sink.update({"partition_by": [os.environ["PARTITION_BY"]],
-                 "merge_mode": "cow", "merge_strategy": "groupby"})
+                 "merge_mode": "cow"})
 with open(spec, "w") as f:
     json.dump({
         "source": {"ctlog_dir": ct, "key_columns": ["url"]},

@@ -76,7 +76,7 @@ def measure(stage: str, cpus: int) -> dict:
     )
     from arcane_stream_sqlserver_change_tracking_ray.sources.ctlog import list_segments
     from arcane_stream_sqlserver_change_tracking_ray.stages.merge import (
-        apply_change_batch,
+        apply_change_batch_direct,
         precombine_and_hash,
     )
 
@@ -126,18 +126,16 @@ def measure(stage: str, cpus: int) -> dict:
             full = ds.schema().base_schema  # feed already carries version/op
             if MERGE_KEY_COL not in full.names:
                 full = full.append(pa.field(MERGE_KEY_COL, pa.string()))
-            apply_change_batch(
+            apply_change_batch_direct(
                 ds,
                 target_root=scratch,
                 cycle_id="stagebench",
-                partition_files={},
                 schema=full,
                 num_partitions=P,
                 max_rows_per_file=1_000_000,
                 compression="zstd",
                 sorted_by=(),
                 key_col=transform.key_col,
-                mode="mor",
                 fsync=os.environ.get("GRAFT_BENCH_FSYNC", "1") == "1",
                 bloom_columns=(),
                 hash_algo="polars",

@@ -47,7 +47,6 @@ def build(root: str, partition_by: list[str]):
                 "target_root": tgt,
                 "num_partitions": 8,
                 "merge_mode": "cow",
-                "merge_strategy": "groupby",
                 "partition_by": partition_by,
             },
             "throughput": {"rows_per_group": N_EVENTS},

@@ -168,6 +168,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
     # rows; freshly-r4-checked rows sit after the boundary. Every entry
     # is identical regardless of position — this is sampling order only.
     return {
+        # --- flagship refreshes (cdc_lww_upsert now runs the cow writer) ---
+        "cdc_lww_upsert": cdc_lww_upsert,
+        "cdc_stream_replay": cdc_stream_replay,
         # --- never driver-checked (added r4, after that round's boundary) ---
         "cdc_pruned_read": cdc_pruned_read,
         "cdc_time_partition": cdc_time_partition,
@@ -223,12 +226,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "bm25_topk": bm25_topk,
         # windows / distinct (green r3)
         "windowed_agg": windowed_agg,
+        # ================= 50-entry sample boundary =================
         "hopping_window": hopping_window,
         "distinct_count": distinct_count,
-        # --- flagship refreshes (green r4; keep one fresh row per round) ---
-        "cdc_lww_upsert": cdc_lww_upsert,
-        "cdc_stream_replay": cdc_stream_replay,
-        # ================= 50-entry sample boundary =================
         # --- green r4 (freshest rows; resample next round) ---
         "cdc_engine_events_replay": cdc_engine_events_replay,
         "cdc_schema_evolution": cdc_schema_evolution,

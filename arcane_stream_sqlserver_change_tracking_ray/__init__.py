@@ -8,8 +8,9 @@ A from-scratch rebuild of the query & data-processing capabilities of
   update / delete Arrow batches keyed by ``arcane_merge_key`` (= url),
 - a streaming ``ray.data.Dataset`` pipeline normalizes, projects and
   hash-partitions the events,
-- a per-partition last-writer-wins merge (``groupby(_pid).map_groups``
-  over zero-copy Arrow) upserts into a partitioned Parquet lake table,
+- a per-partition last-writer-wins merge upserts into a partitioned
+  Parquet lake table: direct per-task delta files under merge-on-read,
+  partition-owner actors that rewrite partitions under copy-on-write,
 - every cycle commits atomically through a version/watermark manifest
   log so replay-after-crash is exactly-once.
 

@@ -14,9 +14,17 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import os
 from dataclasses import dataclass, field
 from typing import Any
+
+logger = logging.getLogger("arcane_ray.config")
+
+#: sink settings that no longer exist: the merge mode alone picks the
+#: writer.  Specs that still set them parse; from_dict drops the keys
+#: with one warning.
+_RETIRED_SINK_SETTINGS = frozenset({"merge_strategy", "merge_actors", "exchange_compression"})
 
 
 @dataclass
@@ -110,22 +118,6 @@ class SinkSettings:
     cluster_min_rows: int = 0
     max_rows_per_file: int = 1_000_000
     parquet_compression: str = "zstd"
-    #: "auto" (default) = "direct" under merge_mode "mor", "actors" under
-    #: "cow".  "direct" = each push task writes its OWN pid-sorted MoR
-    #: delta file (row groups aligned to partition boundaries, manifest
-    #: entries carry #rg= slices) — no exchange at all, data never
-    #: round-trips the object store, tasks are fully elastic; requires
-    #: merge_mode "mor".  "actors" = persistent partition-owner merge
-    #: actors (point-to-point exchange, no sort barrier, state warm
-    #: across cycles — the SURVEY §7.3 MergeActor design; the CoW path).
-    #: "groupby" = Dataset groupby(_pid).map_groups (simplest, fully
-    #: elastic tasks; used by backfill bulk loads)
-    merge_strategy: str = "auto"
-    #: owner-actor count; 0 = min(num_partitions, cluster CPUs)
-    merge_actors: int = 0
-    #: compress actor-exchange slices as Arrow IPC ("lz4"/"zstd"; "" = off):
-    #: trades abundant CPU for object-store bandwidth
-    exchange_compression: str = ""
     #: "mor" (merge-on-read, default) = each cycle writes per-partition
     #: DELTA files only; readers resolve base+deltas with LWW and the
     #: maintenance OPTIMIZE pass folds deltas into base files.  Cycle cost
@@ -134,6 +126,10 @@ class SinkSettings:
     #: metadata pruning from Iceberg MERGE, docs/crd.md:136-172).
     #: "cow" = rewrite touched partitions every cycle (reads stay
     #: zero-overhead; right for small tables / high read:write ratios).
+    #: The mode alone picks the writer: "mor" runs
+    #: ``apply_change_batch_direct`` (each task writes its own pid-sorted
+    #: delta file, no exchange); "cow" runs ``ActorMergePool``
+    #: (min(num_partitions, cluster CPUs) persistent partition-owner actors).
     merge_mode: str = "mor"
     #: fsync data files before the manifest commit and the manifest log
     #: dir after it, so a published manifest never references
@@ -311,6 +307,15 @@ class StreamContext:
             return dc_cls(**kwargs)
 
         spec = {cls._snake(k): v for k, v in spec.items()}
+        sink = spec.get("sink")
+        if sink:
+            retired = sorted(k for k in sink if cls._snake(k) in _RETIRED_SINK_SETTINGS)
+            if retired:
+                logger.warning(
+                    "ignoring retired sink setting(s) %s: merge_mode alone "
+                    "selects the writer", ", ".join(retired),
+                )
+                spec["sink"] = {k: v for k, v in sink.items() if k not in retired}
         known = {
             "source", "field_selection", "staging", "sink",
             "stream_mode", "throughput", "maintenance", "observability",

@@ -12,7 +12,7 @@ The Ray-native analog of the reference's processor graph
          dispose staging K3 → every N batches maintenance K4
 
 Each cycle is one lazy Ray Data pipeline; the streaming executor
-pipelines read → transform → shuffle → merge with backpressure.  The
+pipelines read → transform → route → write with backpressure.  The
 driver only plans, folds tiny stats tables, and commits manifests.
 """
 
@@ -34,8 +34,9 @@ from arcane_stream_sqlserver_change_tracking_ray.sources.ctlog import (
     snapshot_files,
 )
 from arcane_stream_sqlserver_change_tracking_ray.stages import staging as G
+from arcane_stream_sqlserver_change_tracking_ray.stages import merge as _merge_mod
 from arcane_stream_sqlserver_change_tracking_ray.stages.merge import (
-    apply_change_batch,
+    ActorMergePool,
     fold_stats_into_manifest,
 )
 from arcane_stream_sqlserver_change_tracking_ray.stages.partitioning import (
@@ -188,7 +189,7 @@ class StreamRunner:
         self.casts = casts or {}
         self.log = ManifestLog(ctx.sink.target_root)
         self.tailer: ChangeFeedTailer | None = None
-        self._pool = None  # lazy ActorMergePool (merge_strategy == "actors")
+        self._pool: ActorMergePool | None = None  # the cow writer, started lazily
         self._transform = TransformStage(ctx, self.casts)
         self.retry = RetryPolicy.from_sink(ctx.sink)
         # fail fast on malformed partitionExpressions (bootstrap-time,
@@ -209,45 +210,33 @@ class StreamRunner:
             self._telemetry.close()
             self._telemetry = None
 
-    def _merge(self, ds, cycle_id: str, manifest: Manifest, schema: pa.Schema) -> list[dict]:
-        """Dispatch one change batch to the configured merge strategy."""
-        sink = self.ctx.sink
-        if sink.merge_strategy not in ("auto", "direct", "actors", "groupby"):
-            raise ValueError(
-                f"unknown sink.merge_strategy: {sink.merge_strategy!r} "
-                "(expected 'auto', 'direct', 'actors' or 'groupby')"
+    def _cow_pool(self, num_partitions: int, hash_algo: str) -> ActorMergePool:
+        """The runner's persistent owner-actor pool, started on first use."""
+        if self._pool is None:
+            sink = self.ctx.sink
+            self._pool = ActorMergePool(
+                target_root=sink.target_root,
+                num_partitions=num_partitions,
+                compression=sink.parquet_compression,
+                max_rows_per_file=sink.max_rows_per_file,
+                fsync=sink.durable_writes,
+                bloom_columns=tuple(sink.bloom_filter_columns),
+                hash_algo=hash_algo,
             )
+        return self._pool
+
+    def _merge(self, ds, cycle_id: str, manifest: Manifest, schema: pa.Schema) -> list[dict]:
+        """Write one change batch with the merge mode's writer: direct
+        per-task deltas for ``mor``, the owner-actor pool for ``cow``."""
+        sink = self.ctx.sink
         if sink.merge_mode not in ("mor", "cow"):
             raise ValueError(
                 f"unknown sink.merge_mode: {sink.merge_mode!r} (expected 'mor' or 'cow')"
             )
-        strategy = sink.merge_strategy
-        if strategy == "auto":
-            strategy = "direct" if sink.merge_mode == "mor" else "actors"
-        if strategy == "direct" and sink.merge_mode != "mor":
-            raise ValueError(
-                "sink.merge_strategy 'direct' writes per-task delta files and "
-                "requires merge_mode 'mor' (CoW needs per-partition "
-                "consolidation — use 'actors' or 'groupby')"
-            )
-        # a CoW rewrite must fold any pending deltas too (it replaces the
-        # partition's visible state wholesale); MoR never reads them
-        if sink.merge_mode == "cow":
-            partition_files = {
-                pid: manifest.partitions.get(pid, []) + manifest.deltas.get(pid, [])
-                for pid in manifest.partition_pids()
-            }
-        else:
-            partition_files = manifest.partitions
-        if strategy == "direct":
-            from arcane_stream_sqlserver_change_tracking_ray.stages.merge import (
-                apply_change_batch_direct,
-            )
-
-            import time as _time
-
-            t0 = _time.perf_counter()
-            stats = apply_change_batch_direct(
+        if sink.merge_mode == "mor":
+            # looked up on the module at call time, so tracing hooks that
+            # rebind module attributes see the call
+            return _merge_mod.apply_change_batch_direct(
                 ds,
                 target_root=sink.target_root,
                 cycle_id=cycle_id,
@@ -266,54 +255,21 @@ class StreamRunner:
                     _p_source_columns(self._cluster_by) + tuple(sink.sorted_by)
                 )),
             )
-            self._direct_timings = {"push_s": round(_time.perf_counter() - t0, 4), "flush_s": 0.0}
-            return stats
-        if strategy == "actors":
-            from arcane_stream_sqlserver_change_tracking_ray.stages.merge import (
-                ActorMergePool,
-            )
-
-            if self._pool is None:
-                self._pool = ActorMergePool(
-                    target_root=sink.target_root,
-                    num_partitions=manifest.num_partitions,
-                    num_actors=sink.merge_actors,
-                    compression=sink.parquet_compression,
-                    max_rows_per_file=sink.max_rows_per_file,
-                    exchange_compression=sink.exchange_compression,
-                    mode=sink.merge_mode,
-                    fsync=sink.durable_writes,
-                    bloom_columns=tuple(sink.bloom_filter_columns),
-                    hash_algo=manifest.key_hash_algo,
-                )
-            return self._pool.apply_change_batch(
-                ds,
-                cycle_id=cycle_id,
-                partition_files=partition_files,
-                schema=schema,
-                sorted_by=tuple(sink.sorted_by),
-                batch_size=self.ctx.source.fetch_size,
-                key_col=self._transform.key_col,
-                precombine_threshold=sink.precombine_dup_threshold,
-                cluster_by=self._cluster_by,
-                cluster_min_rows=sink.cluster_min_rows,
-            )
-        return apply_change_batch(
+        # a CoW rewrite must fold any pending deltas too (it replaces the
+        # partition's visible state wholesale)
+        partition_files = {
+            pid: manifest.partitions.get(pid, []) + manifest.deltas.get(pid, [])
+            for pid in manifest.partition_pids()
+        }
+        pool = self._cow_pool(manifest.num_partitions, manifest.key_hash_algo)
+        return pool.apply_change_batch(
             ds,
-            target_root=sink.target_root,
             cycle_id=cycle_id,
             partition_files=partition_files,
             schema=schema,
-            num_partitions=manifest.num_partitions,
-            max_rows_per_file=sink.max_rows_per_file,
-            compression=sink.parquet_compression,
             sorted_by=tuple(sink.sorted_by),
             batch_size=self.ctx.source.fetch_size,
             key_col=self._transform.key_col,
-            mode=sink.merge_mode,
-            fsync=sink.durable_writes,
-            bloom_columns=tuple(sink.bloom_filter_columns),
-            hash_algo=manifest.key_hash_algo,
             precombine_threshold=sink.precombine_dup_threshold,
             cluster_by=self._cluster_by,
             cluster_min_rows=sink.cluster_min_rows,
@@ -500,14 +456,11 @@ class StreamRunner:
                 "cycle_id": cycle_id,
                 "versions": [manifest.watermark + 1, hi],
                 "schema_migrated": migrated,
+                "watermark": hi,
                 "merge_s": round(merge_s, 4),
                 "cycle_s": round(time.perf_counter() - t0, 4),
             }
         )
-        if self._pool is not None and getattr(self._pool, "last_timings", None):
-            metrics.update(self._pool.last_timings)
-        elif getattr(self, "_direct_timings", None):
-            metrics.update(self._direct_timings)
         nxt.metrics = metrics
         nxt.counters["cycles"] = nxt.counters.get("cycles", 0) + 1
         nxt.counters["batches_since_maintenance"] = (
@@ -702,21 +655,19 @@ class StreamRunner:
                 _AsInsertEvents(stamp), batch_format="pyarrow"
             ).map_batches(self._transform, batch_format="pyarrow")
             cycle_id = f"backfill-{backfill_id}-s{si:04d}"
-            stats = apply_change_batch(
+            # overwrite writes a fresh BASE layout through the cow writer,
+            # never deltas; partition_files={} ignores the current target
+            stats = self._cow_pool(
+                manifest.num_partitions, manifest.key_hash_algo
+            ).apply_change_batch(
                 ds,
-                target_root=ctx.sink.target_root,
                 cycle_id=cycle_id,
-                partition_files={},  # fresh layout: ignore current target
+                partition_files={},
                 schema=overwrite_schema,
-                num_partitions=manifest.num_partitions,
-                max_rows_per_file=ctx.sink.max_rows_per_file,
-                compression=ctx.sink.parquet_compression,
                 sorted_by=tuple(ctx.sink.sorted_by),
+                batch_size=ctx.source.fetch_size,
                 key_col=self._transform.key_col,
-                mode="cow",  # overwrite writes a fresh BASE layout, never deltas
-                fsync=ctx.sink.durable_writes,
-                bloom_columns=tuple(ctx.sink.bloom_filter_columns),
-                hash_algo=manifest.key_hash_algo,
+                precombine_threshold=ctx.sink.precombine_dup_threshold,
                 cluster_by=self._cluster_by,
                 cluster_min_rows=ctx.sink.cluster_min_rows,
             )
@@ -767,7 +718,7 @@ class StreamRunner:
 
     def _validate_disjoint_shards(self, state: dict, manifest: Manifest) -> None:
         """One distributed pass over the staged overwrite base: count
-        merge keys appearing in more than one row.  apply_change_batch
+        merge keys appearing in more than one row.  The cow writer
         rank-1-collapses duplicates WITHIN a shard, so any survivor
         duplicate is a cross-shard overlap — a violated disjointness
         contract that would ship duplicate rows through the flip."""

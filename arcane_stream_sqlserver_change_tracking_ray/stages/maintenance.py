@@ -59,8 +59,8 @@ def partitions_needing_compaction(
         files = manifest.partitions.get(pid, [])
         deltas = manifest.deltas.get(pid, [])
         # merge-on-read fold trigger: long delta chains tax every read.
-        # Count distinct delta CYCLES, not entries — the direct merge
-        # strategy adds ~one entry per push task per cycle (entries scale
+        # Count distinct delta CYCLES, not entries — the direct delta
+        # writer adds ~one entry per push task per cycle (entries scale
         # with cluster size), but read staleness is measured in cycles
         delta_cycles = {e.split("/")[1] for e in deltas if "/" in e}
         if len(delta_cycles or deltas) > max_deltas or (deltas and not files):

@@ -7,30 +7,34 @@ Reproduces the reference's ``MergeBatchProcessor`` semantics
 upsert all columns.  The reference delegates this to a Trino SQL
 ``MERGE``; here it is expressed Ray-Data-first:
 
-1. **pre-combine** (combiner before the shuffle): within-batch LWW via
-   ``map_batches`` keeps only the max-version event per key per batch —
-   at 10^10-event scale this collapses hot-key event storms *before*
-   any data moves (SURVEY.md §4.2 "skew"),
-2. **route**: append ``_pid = stable_hash(key) % P`` (P fixed in the
-   manifest — the analog of Iceberg ``bucket(arcane_merge_key, P)``),
-3. **merge**: ``groupby(_pid).map_groups`` over zero-copy Arrow; each
-   group task reads its partition's current parquet files, applies LWW
-   against the incoming events, drops tombstones and rewrites the
-   partition copy-on-write under an attempt-unique ``cycles/<id>/``
-   dir.  Nothing is visible until the manifest commit.
+1. **pre-combine**: within-batch LWW inside each ``map_batches`` task
+   keeps only the max-version event per key per batch — at
+   10^10-event scale this collapses hot-key event storms *before* any
+   data moves (SURVEY.md §4.2 "skew"),
+2. **route**: ``_pid = stable_hash(key) % P`` (P fixed in the manifest
+   — the analog of Iceberg ``bucket(arcane_merge_key, P)``),
+3. **write**, one writer per merge mode:
+   - ``mor``: ``apply_change_batch_direct`` — each task writes its own
+     pid-sorted delta file; no exchange, base files never read;
+   - ``cow``: ``ActorMergePool`` — tasks ship pid slices to persistent
+     partition-owner actors, which read the partition's current files,
+     apply LWW, drop tombstones and rewrite the partition
+     copy-on-write.
+   Every file lands under an attempt-unique ``cycles/<id>/`` dir;
+   nothing is visible until the manifest commit.
 
 Partition routing must be stable ACROSS runs and processes (files
 persist): we use ``pandas.util.hash_array`` (SipHash with a fixed key),
 never Python's salted ``hash()``.
 
-The owner-actor strategy keys partition state to a single owner the way
-Flink keys operator state to key groups (Carbone et al., "State
-Management in Apache Flink", VLDB 2017 — PAPERS.md); the manifest log
-follows Delta Lake's mutual-exclusion-on-rename protocol (Armbrust et
-al., VLDB 2020).
+The owner actors key partition state to a single owner the way Flink
+keys operator state to key groups (Carbone et al., "State Management
+in Apache Flink", VLDB 2017 — PAPERS.md); the manifest log follows
+Delta Lake's mutual-exclusion-on-rename protocol (Armbrust et al.,
+VLDB 2020).
 
-Scale notes: only partitions touched by the cycle are rewritten; the
-group payload held in memory is (changes for one partition) + (that
+Scale notes: only partitions touched by the cycle are rewritten; an
+owner holds (the cycle's changes for its partitions) + (one
 partition's current files) — size P so target_size/P is ~0.5-2 GB.
 Tombstones need no persisted set: cycles apply strictly in version
 order (monotone watermark), so a delete at version v can never be
@@ -770,243 +774,6 @@ def change_feed_all_partition(
     return out.select([f.name for f in out_fields])
 
 
-# ---------------------------------------------------------------------------
-# map_batches stage: pre-combine + route (runs before the shuffle)
-# ---------------------------------------------------------------------------
-class PrecombineAndRoute:
-    """Adaptive within-batch LWW combiner + partition-id routing column.
-
-    A plain callable class usable in ``map_batches`` (stateless enough
-    for tasks, but compiled once per actor when used in an actor pool).
-    The key is hashed ONCE (routing + dup-rate detection share it); the
-    LWW combine runs only when the batch's duplicate rate warrants it.
-    """
-
-    def __init__(self, num_partitions: int, key_col: str = MERGE_KEY_COL,
-                 hash_algo: str = "pandas",
-                 precombine_threshold: float = PRECOMBINE_DUP_THRESHOLD):
-        self.num_partitions = num_partitions
-        self.key_col = key_col
-        self.hash_algo = hash_algo
-        self.precombine_threshold = precombine_threshold
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch.append_column(PID_COL, pa.array([], pa.int64()))
-        batch, h = precombine_and_hash(
-            batch, self.key_col, self.hash_algo, self.precombine_threshold
-        )
-        pid = (h % np.uint64(self.num_partitions)).astype(np.int64)
-        return batch.append_column(PID_COL, pa.array(pid, type=pa.int64()))
-
-
-# ---------------------------------------------------------------------------
-# map_groups stage: per-partition copy-on-write merge
-# ---------------------------------------------------------------------------
-class PartitionMergeFn:
-    """``groupby(_pid).map_groups`` function: merge one partition.
-
-    Returns a one-row stats table (pid, rows, upserts, deletes, files
-    written as a JSON list) — the driver folds these into the next
-    manifest's ``partitions`` / ``lineage``.  The group function is
-    shipped once per task; its captured state (partition→files map +
-    target schema) is a few KB.
-    """
-
-    STATS_SCHEMA = pa.schema(
-        [
-            pa.field(PID_COL, pa.int64()),
-            pa.field("rows", pa.int64()),
-            pa.field("upserts", pa.int64()),
-            pa.field("deletes", pa.int64()),
-            pa.field("changes_in", pa.int64()),
-            pa.field("bytes", pa.int64()),
-            pa.field("files_json", pa.string()),
-            pa.field("mode", pa.string()),  # "cow" base rewrite | "mor" delta
-            #: write-time {rel: {col: [lo,hi]}} for manifest.file_stats
-            pa.field("file_stats_json", pa.string()),
-        ]
-    )
-
-    def __init__(
-        self,
-        target_root: str,
-        cycle_id: str,
-        partition_files: dict[int, list[str]],
-        schema: pa.Schema,
-        max_rows_per_file: int = 1_000_000,
-        compression: str = "zstd",
-        sorted_by: tuple[str, ...] = (),
-        key_col: str = MERGE_KEY_COL,
-        mode: str = "mor",
-        fsync: bool = True,
-        bloom_columns: tuple[str, ...] = (),
-        cluster_by: tuple = (),
-        cluster_min_rows: int = 0,
-    ):
-        self.target_root = target_root
-        self.cycle_id = cycle_id
-        self.partition_files = partition_files
-        self.schema = schema
-        self.max_rows_per_file = max_rows_per_file
-        self.compression = compression
-        self.sorted_by = sorted_by
-        self.key_col = key_col
-        self.mode = mode
-        self.fsync = fsync
-        self.bloom_columns = bloom_columns
-        self.cluster_by = cluster_by
-        self.cluster_min_rows = cluster_min_rows
-
-    # -- target partition io -------------------------------------------------
-    def _read_existing(self, pid: int) -> pa.Table | None:
-        files = self.partition_files.get(pid, [])
-        if not files:
-            return None
-        tables = []
-        for entry in files:  # fragment-aware: deltas may be #rg= slices
-            t = read_entry_table(self.target_root, entry)
-            tables.append(cast_to_schema(t, self.schema))
-        return pa.concat_tables(tables)
-
-    def _write(
-        self, pid: int, table: pa.Table, prefix: str = "part"
-    ) -> tuple[list[str], int, dict]:
-        if self.sorted_by and table.num_rows:
-            table = table.sort_by([(c, "ascending") for c in self.sorted_by])
-        bounds: dict = {}
-        rels, nbytes = write_partition_files(
-            table,
-            self.target_root,
-            self.cycle_id,
-            pid,
-            max_rows_per_file=self.max_rows_per_file,
-            compression=self.compression,
-            fsync=self.fsync,
-            prefix=prefix,
-            bloom_columns=self.bloom_columns,
-            cluster_by=self.cluster_by,
-            cluster_min_rows=self.cluster_min_rows,
-            # sortedBy columns get write-time bounds too: a sorted write
-            # yields disjoint per-file ranges, so pruning engages with no
-            # ANALYZE pass (Iceberg manifest-entry bounds posture)
-            bounds_cols=tuple(
-                dict.fromkeys(source_columns(self.cluster_by) + tuple(self.sorted_by))
-            ),
-            bounds_out=bounds,
-        )
-        return rels, nbytes, bounds
-
-    # -- the merge -----------------------------------------------------------
-    def __call__(self, group: pa.Table) -> pa.Table:
-        pid = int(group[PID_COL][0].as_py())
-        changes = ensure_merge_key_alias(group.drop_columns([PID_COL]), self.key_col)
-        changes = cast_to_schema(changes, self.schema)
-        n_changes = changes.num_rows
-
-        if self.mode == "mor":
-            # merge-on-read: write the cycle's changes as a DELTA file —
-            # never read or rewrite the base files, so cycle cost scales
-            # with cycle size, not table size (the Iceberg-MERGE-style
-            # partition-granularity CoW rewrote ~the whole table per
-            # cycle at scale).  Tombstones (op='D') persist in the delta
-            # until the maintenance OPTIMIZE fold.
-            delta = lww_table(changes)  # collapse within-cycle event storms
-            deletes = delta.num_rows - drop_tombstones(delta).num_rows
-            rels, nbytes, bounds = self._write(pid, delta, prefix="delta")
-            return pa.table(
-                {
-                    PID_COL: [pid],
-                    "rows": [delta.num_rows],
-                    "upserts": [n_changes - deletes],
-                    "deletes": [deletes],
-                    "changes_in": [n_changes],
-                    "bytes": [nbytes],
-                    "files_json": [json.dumps(rels)],
-                    "mode": ["mor"],
-                    "file_stats_json": [json.dumps(bounds) if bounds else ""],
-                },
-                schema=self.STATS_SCHEMA,
-            )
-
-        existing = self._read_existing(pid)
-        if existing is not None:
-            combined = pa.concat_tables([existing, changes])
-        else:
-            combined = changes
-        merged = lww_table(combined)
-        alive = drop_tombstones(merged)
-        deletes = merged.num_rows - alive.num_rows
-        upserts = n_changes - deletes
-
-        rels, nbytes, bounds = self._write(pid, alive)
-        return pa.table(
-            {
-                PID_COL: [pid],
-                "rows": [alive.num_rows],
-                "upserts": [upserts],
-                "deletes": [deletes],
-                "changes_in": [n_changes],
-                "bytes": [nbytes],
-                "files_json": [json.dumps(rels)],
-                "mode": ["cow"],
-                "file_stats_json": [json.dumps(bounds) if bounds else ""],
-            },
-            schema=self.STATS_SCHEMA,
-        )
-
-
-def apply_change_batch(
-    changes_ds,
-    *,
-    target_root: str,
-    cycle_id: str,
-    partition_files: dict[int, list[str]],
-    schema: pa.Schema,
-    num_partitions: int,
-    max_rows_per_file: int = 1_000_000,
-    compression: str = "zstd",
-    sorted_by: tuple[str, ...] = (),
-    batch_size: int = 65536,
-    key_col: str = MERGE_KEY_COL,
-    mode: str = "cow",
-    fsync: bool = True,
-    bloom_columns: tuple[str, ...] = (),
-    hash_algo: str = "pandas",
-    precombine_threshold: float = PRECOMBINE_DUP_THRESHOLD,
-    cluster_by: tuple = (),
-    cluster_min_rows: int = 0,
-) -> list[dict]:
-    """Run the full merge pipeline for one change batch; returns per-touched-
-    partition stats dicts.  The only materialized result is the tiny stats
-    table (one row per touched partition)."""
-    routed = changes_ds.map_batches(
-        PrecombineAndRoute(num_partitions, key_col, hash_algo, precombine_threshold),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
-    merge_fn = PartitionMergeFn(
-        target_root=target_root,
-        cycle_id=cycle_id,
-        partition_files=partition_files,
-        schema=schema,
-        max_rows_per_file=max_rows_per_file,
-        compression=compression,
-        sorted_by=sorted_by,
-        key_col=key_col,
-        mode=mode,
-        fsync=fsync,
-        bloom_columns=bloom_columns,
-        cluster_by=cluster_by,
-        cluster_min_rows=cluster_min_rows,
-    )
-    def merge_partition(group: pa.Table) -> pa.Table:
-        return merge_fn(group)
-
-    stats_ds = routed.groupby(PID_COL).map_groups(merge_partition, batch_format="pyarrow")
-    return stats_ds.take_all()  # one small dict per touched partition
-
-
 def fold_stats_into_manifest(manifest, stats: list[dict], cycle_id: str) -> dict:
     """Update manifest.partitions / lineage from merge stats; returns the
     cycle metrics dict (rows_in, upserts, deletes, bytes, partitions)."""
@@ -1052,7 +819,7 @@ def fold_stats_into_manifest(manifest, stats: list[dict], cycle_id: str) -> dict
         for k in totals:
             v = s[k] if k in s else None
             totals[k] += int(v) if v is not None else 0
-    # distinct pids: the 'direct' strategy emits one stats row per
+    # distinct pids: the direct writer emits one stats row per
     # (task, pid), so len(stats) would overcount
     totals["partitions_touched"] = len(per_pid_load)
     # every arriving row is accounted: routed + collapsed-by-combine
@@ -1083,7 +850,7 @@ def fold_stats_into_manifest(manifest, stats: list[dict], cycle_id: str) -> dict
 
 
 # ---------------------------------------------------------------------------
-# strategy 3: direct per-task delta writes (MoR only — the scale default)
+# the mor writer: direct per-task delta writes
 # ---------------------------------------------------------------------------
 _DIRECT_STATS_SCHEMA = pa.schema(
     [
@@ -1141,7 +908,8 @@ def apply_change_batch_direct(
     through the object store (serialize → plasma → deserialize → buffer
     → write) before anything hits disk.  On bandwidth-bound hosts that
     copy chain is the non-scaling term of the cycle (BENCH/BASELINE.md
-    round-2 profile: push_s flat from 2→8 CPUs while flush_s scales).
+    round-2 profile: the push stage stayed flat from 2→8 CPUs while the
+    owner flush scaled).
     Direct mode keeps the data inside the map task: read → transform →
     route (one argsort + one gather) → zstd to disk.  There is no
     barrier besides the tiny per-task stats collection, and no state —
@@ -1242,7 +1010,7 @@ def apply_change_batch_direct(
 
 
 # ---------------------------------------------------------------------------
-# strategy 2: persistent partition-owner merge actors
+# the cow writer: persistent partition-owner merge actors
 # ---------------------------------------------------------------------------
 def _make_owner_actor():
     """Define the owner actor lazily so importing this module never
@@ -1271,14 +1039,12 @@ def _make_owner_actor():
             target_root: str,
             compression: str,
             max_rows_per_file: int,
-            mode: str = "mor",
             fsync: bool = True,
             bloom_columns: tuple[str, ...] = (),
         ):
             self.target_root = target_root
             self.compression = compression
             self.max_rows_per_file = max_rows_per_file
-            self.mode = mode
             self.fsync = fsync
             self.bloom_columns = tuple(bloom_columns)
             self.buf: dict[int, list[pa.Table]] = {}
@@ -1287,18 +1053,6 @@ def _make_owner_actor():
             for pid, t in slices:
                 self.buf.setdefault(pid, []).append(t)
             return sum(t.num_rows for _, t in slices)
-
-        def add_ipc(self, slices: list[tuple[int, bytes]]) -> int:
-            """Compressed-exchange variant: slices arrive as Arrow IPC
-            buffers (lz4/zstd) — the object store then carries 2-4x
-            fewer bytes at a small CPU cost, a good trade on
-            bandwidth-bound hosts (BENCH/BASELINE.md)."""
-            n = 0
-            for pid, buf in slices:
-                t = pa.ipc.open_stream(pa.BufferReader(buf)).read_all()
-                self.buf.setdefault(pid, []).append(t)
-                n += t.num_rows
-            return n
 
         def reset(self) -> None:
             """Drop buffered deltas (start of cycle / after a failed one)."""
@@ -1328,39 +1082,6 @@ def _make_owner_actor():
                      for t in tables]
                 ), schema)
                 n_changes = changes.num_rows
-
-                if self.mode == "mor":
-                    # delta write: never touch base files (see
-                    # PartitionMergeFn mor path for the rationale)
-                    delta = lww_table(changes)
-                    deletes = delta.num_rows - drop_tombstones(delta).num_rows
-                    if sorted_by and delta.num_rows:
-                        delta = delta.sort_by([(c, "ascending") for c in sorted_by])
-                    fb: dict = {}
-                    rels, nbytes = write_partition_files(
-                        delta, self.target_root, cycle_id, pid,
-                        max_rows_per_file=self.max_rows_per_file,
-                        compression=self.compression, fsync=self.fsync,
-                        prefix="delta", bloom_columns=self.bloom_columns,
-                        bounds_cols=tuple(dict.fromkeys(
-                            source_columns(cluster_by) + tuple(sorted_by))),
-                        bounds_out=fb,
-                    )
-                    out.append(
-                        {
-                            PID_COL: pid,
-                            "rows": delta.num_rows,
-                            "upserts": n_changes - deletes,
-                            "deletes": deletes,
-                            "changes_in": n_changes,
-                            "bytes": nbytes,
-                            "files_json": json.dumps(rels),
-                            "mode": "mor",
-                            "file_stats_json": json.dumps(fb) if fb else "",
-                        }
-                    )
-                    continue
-
                 existing = []
                 for entry in partition_files.get(pid, []):
                     existing.append(
@@ -1378,8 +1099,8 @@ def _make_owner_actor():
                 if sorted_by:
                     alive = alive.sort_by([(c, "ascending") for c in sorted_by])
                 # fully-deleted partition -> no files; fold_stats then drops
-                # it from the manifest (same behavior as the groupby path)
-                fb = {}
+                # it from the manifest
+                fb: dict = {}
                 rels, nbytes = write_partition_files(
                     alive, self.target_root, cycle_id, pid,
                     max_rows_per_file=self.max_rows_per_file,
@@ -1411,7 +1132,8 @@ def _make_owner_actor():
 
 
 class ActorMergePool:
-    """Persistent pool of partition-owner actors, one per StreamRunner.
+    """Persistent pool of partition-owner actors, one per StreamRunner —
+    the copy-on-write writer.
 
     Per cycle:  ``map_batches(push)`` streams the change batches — each
     task LWW-combines its batch, routes rows to pids with the stable
@@ -1419,17 +1141,17 @@ class ActorMergePool:
     each owner its slices; then ``flush`` merges + rewrites the touched
     partitions in parallel across owners.  No all-to-all operator, no
     sort barrier: the exchange is point-to-point object transfers.
+
+    Pass ``partition_files={}`` to write a fresh base layout that
+    ignores the current target (overwrite backfill, ephemeral tables).
     """
 
     def __init__(
         self,
         target_root: str,
         num_partitions: int,
-        num_actors: int = 0,
         compression: str = "zstd",
         max_rows_per_file: int = 1_000_000,
-        exchange_compression: str = "",
-        mode: str = "mor",
         fsync: bool = True,
         bloom_columns: tuple[str, ...] = (),
         hash_algo: str = "pandas",
@@ -1437,22 +1159,14 @@ class ActorMergePool:
         import ray
 
         self.hash_algo = hash_algo
-        if num_actors <= 0:
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-            num_actors = max(1, min(num_partitions, cpus))
+        cpus = int(ray.cluster_resources().get("CPU", 8))
         cls = _make_owner_actor()
         self.actors = [
-            cls.remote(target_root, compression, max_rows_per_file, mode, fsync,
+            cls.remote(target_root, compression, max_rows_per_file, fsync,
                        tuple(bloom_columns))
-            for _ in range(num_actors)
+            for _ in range(max(1, min(num_partitions, cpus)))
         ]
         self.num_partitions = num_partitions
-        if exchange_compression not in ("", "lz4", "zstd"):
-            raise ValueError(
-                f"unknown exchange_compression: {exchange_compression!r} "
-                "(expected '', 'lz4' or 'zstd')"
-            )
-        self.exchange_compression = exchange_compression
 
     def apply_change_batch(
         self,
@@ -1473,15 +1187,15 @@ class ActorMergePool:
         actors = self.actors
         A = len(actors)
         P = self.num_partitions
-        codec = self.exchange_compression
 
         ray.get([a.reset.remote() for a in actors])
 
         hash_algo = self.hash_algo
 
         def push(batch: pa.Table) -> pa.Table:
-            if batch.num_rows == 0:
-                return pa.table({"rows_pushed": [0]})
+            rows_in = batch.num_rows
+            if rows_in == 0:
+                return pa.table({"rows_in": [0], "rows_kept": [0]})
             # hash once; combine only when the dup rate warrants it (M2)
             batch, h = precombine_and_hash(batch, key_col, hash_algo, precombine_threshold)
             pid = (h % np.uint64(P)).astype(np.int64)
@@ -1492,34 +1206,18 @@ class ActorMergePool:
             per_actor: dict[int, list] = {}
             for s, e in zip(bounds[:-1], bounds[1:]):
                 p = int(pids[s])
-                sl = b.slice(s, e - s)
-                if codec:
-                    sink = pa.BufferOutputStream()
-                    opts = pa.ipc.IpcWriteOptions(compression=codec)
-                    with pa.ipc.new_stream(sink, sl.schema, options=opts) as w:
-                        w.write_table(sl)
-                    sl = sink.getvalue().to_pybytes()
-                per_actor.setdefault(p % A, []).append((p, sl))
+                per_actor.setdefault(p % A, []).append((p, b.slice(s, e - s)))
             # blocking gets provide backpressure: a task finishes only
             # after its owners ingested the slices
-            method = "add_ipc" if codec else "add"
-            ray.get([getattr(actors[a], method).remote(sl) for a, sl in per_actor.items()])
-            return pa.table({"rows_pushed": [batch.num_rows]})
+            ray.get([actors[a].add.remote(sl) for a, sl in per_actor.items()])
+            return pa.table({"rows_in": [rows_in], "rows_kept": [batch.num_rows]})
 
-        import time as _time
-
-        t0 = _time.perf_counter()
         # consume with take_all: the per-task result is ONE tiny row, and
         # a driver-side sum avoids scheduling an AllToAll aggregate op
         # (a fixed ~0.2-0.5s shuffle-barrier tax per cycle)
-        pushed = sum(
-            r["rows_pushed"]
-            for r in changes_ds.map_batches(
-                push, batch_format="pyarrow", batch_size=batch_size
-            ).take_all()
-        )
-        _ = pushed
-        t1 = _time.perf_counter()
+        pushed = changes_ds.map_batches(
+            push, batch_format="pyarrow", batch_size=batch_size
+        ).take_all()
         flush_refs = [
             a.flush.remote(
                 cycle_id, partition_files, schema, sorted_by, key_col,
@@ -1528,11 +1226,11 @@ class ActorMergePool:
             for a in actors
         ]
         out = [s for o in ray.get(flush_refs) for s in o]
-        #: per-cycle stage timings, folded into cycle metrics by the runner
-        self.last_timings = {
-            "push_s": round(t1 - t0, 4),
-            "flush_s": round(_time.perf_counter() - t1, 4),
-        }
+        # rows the pre-combine dropped never reach an owner; attribute
+        # them to the first stats row, as the direct writer does, so the
+        # cycle still accounts every arriving row
+        if out:
+            out[0]["combined_away"] = sum(r["rows_in"] - r["rows_kept"] for r in pushed)
         return out
 
     def shutdown(self) -> None:

@@ -29,16 +29,16 @@ import socket
 
 logger = logging.getLogger("arcane_ray.telemetry")
 
-#: cycle-metric keys published per committed batch -> statsd type
+#: (published name, cycle-metrics key, statsd type), sent per committed batch
 _CYCLE_METRICS = (
-    ("changes_in", "c"),
-    ("upserts", "c"),
-    ("deletes", "c"),
-    ("combined_away", "c"),
-    ("bytes_written", "c"),
-    ("watermark", "g"),
-    ("cycle_s", "ms"),
-    ("merge_s", "ms"),
+    ("changes_in", "changes_in", "c"),
+    ("upserts", "upserts", "c"),
+    ("deletes", "deletes", "c"),
+    ("combined_away", "precombined_rows", "c"),
+    ("bytes_written", "bytes", "c"),
+    ("watermark", "watermark", "g"),
+    ("cycle_s", "cycle_s", "ms"),
+    ("merge_s", "merge_s", "ms"),
 )
 
 
@@ -114,16 +114,16 @@ class StatsdPublisher:
     def publish_cycle(self, metrics: dict) -> None:
         """One datagram per published cycle metric (the reference emits
         per-batch counters the same way)."""
-        for key, mtype in _CYCLE_METRICS:
+        for name, key, mtype in _CYCLE_METRICS:
             if key not in metrics:
                 continue
             v = metrics[key]
             if mtype == "ms":
-                self.timing_ms(key, v)
+                self.timing_ms(name, v)
             elif mtype == "g":
-                self.gauge(key, v)
+                self.gauge(name, v)
             else:
-                self.count(key, v)
+                self.count(name, v)
 
     def close(self) -> None:
         try:

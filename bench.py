@@ -129,12 +129,9 @@ def run_headline(num_cpus: int) -> dict:
             "sustained_events_per_sec": round(sustained, 1),
             "cycles": len(metrics),
             "cycle_s": [round(c, 2) for c in cyc],
-            # per-cycle stage breakdown (actor-merge path records these):
-            # push_s = Dataset read→transform→route→ship, flush_s = owner
-            # merge+write barrier; the residual vs cycle_s is driver-side
-            # plan/commit — the serial floor that caps scaling efficiency
-            "push_s": [round(m.get("push_s", 0), 2) for m in metrics],
-            "flush_s": [round(m.get("flush_s", 0), 2) for m in metrics],
+            # merge_s = read→transform→route→write; the residual vs
+            # cycle_s is driver-side plan/commit — the serial floor that
+            # caps scaling efficiency
             "merge_s": [round(m.get("merge_s", 0), 2) for m in metrics],
         }
     finally:
@@ -283,8 +280,6 @@ def main() -> None:
         "sustained_events_per_sec": head["sustained_events_per_sec"],
         "cycles": head["cycles"],
         "cycle_s": head["cycle_s"],
-        "push_s": head["push_s"],
-        "flush_s": head["flush_s"],
     }
     if "--headline-only" in sys.argv:
         print(json.dumps(doc))

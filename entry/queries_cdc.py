@@ -77,8 +77,9 @@ def _events_change_schema(sf_dir: str) -> pa.Schema:
 
 def cdc_lww_upsert(sf_dir: str) -> pa.Table:
     """Full merge path (M1): hash-partitioned copy-on-write LWW upsert of
-    the events feed into a fresh target table, then read it back."""
-    from arcane_stream_sqlserver_change_tracking_ray.stages.merge import apply_change_batch
+    the events feed into a fresh target table through the owner-actor
+    pool (the cow writer), then read it back."""
+    from arcane_stream_sqlserver_change_tracking_ray.stages.merge import ActorMergePool
     from arcane_stream_sqlserver_change_tracking_ray.functions.transforms import cast_to_schema
     import pyarrow.parquet as pq
     import os
@@ -87,15 +88,14 @@ def cdc_lww_upsert(sf_dir: str) -> pa.Table:
     schema = _events_change_schema(sf_dir)
     tmp = tempfile.mkdtemp(prefix="cdc_lww_")
     try:
-        stats = apply_change_batch(
-            ds,
-            target_root=tmp,
-            cycle_id="q",
-            partition_files={},
-            schema=schema,
-            num_partitions=8,
-            hash_algo="polars",  # ephemeral table: fast routing hash
-        )
+        # ephemeral table: fast routing hash
+        pool = ActorMergePool(target_root=tmp, num_partitions=8, hash_algo="polars")
+        try:
+            stats = pool.apply_change_batch(
+                ds, cycle_id="q", partition_files={}, schema=schema
+            )
+        finally:
+            pool.shutdown()
         import json
 
         tables = []
@@ -865,7 +865,6 @@ def cdc_time_partition(sf_dir: str):
             "sink": {
                 "partitionBy": ["day(ts)"],
                 "mergeMode": "cow",
-                "mergeStrategy": "groupby",
             }
         },
     )

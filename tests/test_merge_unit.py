@@ -2,18 +2,19 @@
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 from arcane_stream_sqlserver_change_tracking_ray.stages.merge import (
-    PrecombineAndRoute,
     drop_tombstones,
+    hash_keys,
     lww_table,
     partition_ids,
+    precombine_and_hash,
     stable_hash,
 )
 from arcane_stream_sqlserver_change_tracking_ray.types import (
     MERGE_KEY_COL,
     OP_COL,
-    PID_COL,
     VERSION_COL,
 )
 
@@ -70,30 +71,35 @@ def test_partition_ids_range_and_determinism():
 
 
 def test_precombine_and_route():
+    """The kernel both writers share: hash once, LWW-combine a batch
+    whose duplicate rate crosses the threshold, keep hashes aligned."""
     t = _t([("a", 1, "I"), ("a", 2, "U"), ("b", 3, "I")])
-    out = PrecombineAndRoute(4)(t)
-    assert out.num_rows == 2  # within-batch LWW collapsed key 'a'
-    assert PID_COL in out.column_names
+    out, h = precombine_and_hash(t, MERGE_KEY_COL, "polars", threshold=0.0)
+    assert out.num_rows == len(h) == 2  # within-batch LWW collapsed key 'a'
+    got = dict(zip(out[MERGE_KEY_COL].to_pylist(), out[VERSION_COL].to_pylist()))
+    assert got == {"a": 2, "b": 3}
+    assert (h == hash_keys(out[MERGE_KEY_COL], "polars")).all()  # aligned to rows
+    # below the threshold the batch ships uncombined
+    kept, h2 = precombine_and_hash(t, MERGE_KEY_COL, "polars", threshold=0.5)
+    assert kept.num_rows == len(h2) == 3
 
 
-def test_direct_mode_accounts_precombined_rows(tmp_path):
+@pytest.mark.parametrize("merge_mode", ["mor", "cow"], ids=["direct", "actors"])
+def test_direct_mode_accounts_precombined_rows(tmp_path, merge_mode):
     """The cycle invariant 'every arriving row is accounted'
-    (changes_in == rows arriving) must hold in direct MoR mode even when
+    (changes_in == rows arriving) must hold for both writers even when
     the adaptive pre-combine collapses duplicates before routing
     (regression: direct stats once reported combined_away=0 with
-    post-combine changes_in, undercounting the cycle)."""
+    post-combine changes_in, and the cow pool dropped the combined rows
+    the same way, undercounting the cycle)."""
     import ray.data
 
     from arcane_stream_sqlserver_change_tracking_ray.stages.merge import (
+        ActorMergePool,
         apply_change_batch_direct,
         fold_stats_into_manifest,
     )
     from arcane_stream_sqlserver_change_tracking_ray.state.manifest import Manifest
-    from arcane_stream_sqlserver_change_tracking_ray.types import (
-        MERGE_KEY_COL,
-        OP_COL,
-        VERSION_COL,
-    )
 
     n, keys = 400, 20  # heavy duplication -> combiner collapses a lot
     t = pa.table(
@@ -104,15 +110,29 @@ def test_direct_mode_accounts_precombined_rows(tmp_path):
             "v": pa.array(np.arange(n, dtype=np.float64)),
         }
     )
-    stats = apply_change_batch_direct(
-        ray.data.from_arrow(t).repartition(2),
-        target_root=str(tmp_path),
-        cycle_id="c1",
-        schema=t.schema,
-        num_partitions=4,
-        hash_algo="polars",
-        precombine_threshold=0.0,  # force the combiner on
-    )
+    ds = ray.data.from_arrow(t).repartition(2)
+    if merge_mode == "mor":
+        stats = apply_change_batch_direct(
+            ds,
+            target_root=str(tmp_path),
+            cycle_id="c1",
+            schema=t.schema,
+            num_partitions=4,
+            hash_algo="polars",
+            precombine_threshold=0.0,  # force the combiner on
+        )
+    else:
+        pool = ActorMergePool(str(tmp_path), num_partitions=4, hash_algo="polars")
+        try:
+            stats = pool.apply_change_batch(
+                ds,
+                cycle_id="c1",
+                partition_files={},
+                schema=t.schema,
+                precombine_threshold=0.0,
+            )
+        finally:
+            pool.shutdown()
     m = Manifest(version=1, watermark=0, num_partitions=4)
     metrics = fold_stats_into_manifest(m, stats, "c1")
     assert metrics["precombined_rows"] > 0

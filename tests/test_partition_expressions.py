@@ -239,14 +239,11 @@ def _file_months(log: ManifestLog, rels) -> list[set]:
     return out
 
 
-@pytest.mark.parametrize("strategy", ["groupby", "actors"])
-def test_cow_writes_cluster_by_month_and_prune(tmp_lake, ray_session, strategy):
+def test_cow_writes_cluster_by_month_and_prune(tmp_lake, ray_session):
     ct, tgt, _ = tmp_lake
     _write_months_ctlog(ct)
     prepare_watermark(tgt, num_partitions=4)
-    StreamRunner(
-        _ctx(ct, tgt, merge_mode="cow", merge_strategy=strategy)
-    ).run()
+    StreamRunner(_ctx(ct, tgt, merge_mode="cow")).run()
     log = ManifestLog(tgt)
     m = log.require_watermark()
 
@@ -274,7 +271,7 @@ def test_direct_mor_records_whole_file_bounds(tmp_lake, ray_session):
     ct, tgt, _ = tmp_lake
     _write_months_ctlog(ct)
     prepare_watermark(tgt, num_partitions=4)
-    StreamRunner(_ctx(ct, tgt, merge_mode="mor", merge_strategy="direct")).run()
+    StreamRunner(_ctx(ct, tgt, merge_mode="mor")).run()
     m = ManifestLog(tgt).require_watermark()
     delta_files = {e.partition("#rg=")[0] for fl in m.deltas.values() for e in fl}
     assert delta_files and delta_files <= set(m.file_stats)
@@ -290,7 +287,7 @@ def test_compaction_reclusters_and_refreshes_bounds(tmp_lake, ray_session):
     ct, tgt, _ = tmp_lake
     _write_months_ctlog(ct)
     prepare_watermark(tgt, num_partitions=4)
-    ctx = _ctx(ct, tgt, merge_mode="mor", merge_strategy="direct")
+    ctx = _ctx(ct, tgt, merge_mode="mor")
     StreamRunner(ctx).run()
     log = ManifestLog(tgt)
     pre = log.require_watermark()
@@ -319,7 +316,7 @@ def test_repartition_recluster_and_bounds_reset(tmp_lake, ray_session):
     ct, tgt, _ = tmp_lake
     _write_months_ctlog(ct)
     prepare_watermark(tgt, num_partitions=4)
-    ctx = _ctx(ct, tgt, merge_mode="cow", merge_strategy="groupby")
+    ctx = _ctx(ct, tgt, merge_mode="cow")
     StreamRunner(ctx).run()
     log = ManifestLog(tgt)
     old_stats = set(log.require_watermark().file_stats)
@@ -354,7 +351,7 @@ def test_repartition_keeps_sorted_by_bounds_without_partition_by(
         {
             "source": {"ctlog_dir": ct, "key_columns": ["url"]},
             "sink": {"target_root": tgt, "num_partitions": 4,
-                     "merge_mode": "cow", "merge_strategy": "groupby",
+                     "merge_mode": "cow",
                      "sorted_by": ["warc_ts"],
                      # split the sorted rewrite into several files so
                      # per-file warc_ts ranges are disjoint and prunable
@@ -393,7 +390,7 @@ def test_sorted_by_alone_records_write_time_bounds(tmp_lake, ray_session):
         {
             "source": {"ctlog_dir": ct, "key_columns": ["url"]},
             "sink": {"target_root": tgt, "num_partitions": 4,
-                     "merge_mode": "cow", "merge_strategy": "groupby",
+                     "merge_mode": "cow",
                      "sorted_by": ["warc_ts"]},
             "throughput": {"rows_per_group": 10_000},
         }
@@ -416,8 +413,7 @@ def test_analyze_now_covers_timestamp_columns(tmp_lake, ray_session):
     ctx_plain = StreamContext.from_dict(
         {
             "source": {"ctlog_dir": ct, "key_columns": ["url"]},
-            "sink": {"target_root": tgt, "num_partitions": 4, "merge_mode": "cow",
-                     "merge_strategy": "groupby"},
+            "sink": {"target_root": tgt, "num_partitions": 4, "merge_mode": "cow"},
             "maintenance": {"analyze_included_columns": ["warc_ts"]},
         }
     )
@@ -442,13 +438,13 @@ def test_analyze_merges_and_preserves_partition_by_bounds(tmp_lake, ray_session)
     ct, tgt, _ = tmp_lake
     _write_months_ctlog(ct)
     prepare_watermark(tgt, num_partitions=4)
-    ctx = _ctx(ct, tgt, merge_mode="cow", merge_strategy="groupby")
+    ctx = _ctx(ct, tgt, merge_mode="cow")
     StreamRunner(ctx).run()
     log = ManifestLog(tgt)
     pre = log.require_watermark().file_stats
     assert pre and all("warc_ts" in v for v in pre.values())
     # analyze a different column entirely
-    ctx2 = _ctx(ct, tgt, merge_mode="cow", merge_strategy="groupby")
+    ctx2 = _ctx(ct, tgt, merge_mode="cow")
     ctx2.maintenance.analyze_included_columns = ("sys_change_version",)
     analyze(log, ctx2)
     m = log.require_watermark()
@@ -497,7 +493,7 @@ def test_manifest_roundtrip_and_crash_safety_of_bounds(tmp_lake, ray_session):
     ct, tgt, _ = tmp_lake
     _write_months_ctlog(ct)
     prepare_watermark(tgt, num_partitions=4)
-    StreamRunner(_ctx(ct, tgt, merge_mode="cow", merge_strategy="groupby")).run()
+    StreamRunner(_ctx(ct, tgt, merge_mode="cow")).run()
     m = ManifestLog(tgt).require_watermark()
     m2 = ManifestLog(tgt).require_watermark()  # fresh log handle
     assert m2.file_stats == m.file_stats and m.file_stats

@@ -5,6 +5,7 @@ back and compares against the DuckDB LWW oracle — the reference's
 pattern of `readTarget` + sorted row-set compare
 (StreamRunner.scala:207,254-258)."""
 
+import logging
 import os
 import shutil
 
@@ -50,28 +51,45 @@ def test_watermark_gate_negative(tmp_lake):
         StreamRunner(make_ctx(ct, tgt)).run()
 
 
-@pytest.mark.parametrize(
-    "strategy",
-    [
-        {"merge_strategy": "direct"},
-        {"merge_strategy": "actors"},
-        {"merge_strategy": "groupby"},
-        # compressed exchange must be result-identical to uncompressed
-        {"merge_strategy": "actors", "exchange_compression": "lz4"},
-    ],
-    ids=["direct", "actors", "groupby", "actors-lz4"],
-)
-def test_full_replay_matches_oracle(tmp_lake, strategy):
-    """Every merge strategy/exchange variant must yield the identical
-    oracle state."""
+@pytest.mark.parametrize("merge_mode", ["mor", "cow"], ids=["direct", "actors"])
+def test_full_replay_matches_oracle(tmp_lake, merge_mode):
+    """Each merge mode's writer (direct per-task deltas for mor, the
+    owner-actor pool for cow) must yield the identical oracle state."""
     ct, tgt, _ = tmp_lake
     write_ctlog(ct, small_spec())
     prepare_watermark(tgt, version=0, num_partitions=8)
-    runner = StreamRunner(make_ctx(ct, tgt, sink=strategy))
+    runner = StreamRunner(make_ctx(ct, tgt, sink={"merge_mode": merge_mode}))
     metrics = runner.run()
     assert len(metrics) >= 2  # multiple poll cycles, not one big batch
     assert_tables_equal(read_target_table(tgt), expected_final_state(ct))
     assert get_watermark(tgt) == 1000  # == CHANGE_TRACKING_CURRENT_VERSION()
+
+
+def test_retired_merge_strategy_key_is_dropped_with_one_warning(tmp_lake, caplog):
+    """A spec that still sets a retired writer knob parses: from_dict
+    drops it with ONE warning and the stream runs on the mode's writer."""
+    ct, tgt, _ = tmp_lake
+    write_ctlog(ct, small_spec())
+    prepare_watermark(tgt, version=0, num_partitions=8)
+    with caplog.at_level(logging.WARNING, logger="arcane_ray.config"):
+        ctx = make_ctx(
+            ct, tgt,
+            sink={"mergeMode": "cow", "mergeStrategy": "groupby",
+                  "merge_actors": 3, "exchangeCompression": "lz4"},
+        )
+    warned = [r for r in caplog.records if r.name == "arcane_ray.config"]
+    assert len(warned) == 1
+    msg = warned[0].getMessage()
+    assert "mergeStrategy" in msg and "merge_actors" in msg and "exchangeCompression" in msg
+    assert not hasattr(ctx.sink, "merge_strategy")
+    runner = StreamRunner(ctx)
+    runner.bootstrap()
+    assert runner.run_cycle() is not None
+    assert runner._pool is not None  # the cow writer ran
+    lineage = ManifestLog(tgt).latest().lineage
+    assert lineage and {e["mode"] for e in lineage.values()} == {"cow"}
+    runner.run()
+    assert_tables_equal(read_target_table(tgt), expected_final_state(ct))
 
 
 def test_byte_identical_text_per_url(tmp_lake):

@@ -15,7 +15,10 @@ from arcane_stream_sqlserver_change_tracking_ray.state.manifest import (
     ManifestLog,
     prepare_watermark,
 )
-from arcane_stream_sqlserver_change_tracking_ray.state.telemetry import StatsdPublisher
+from arcane_stream_sqlserver_change_tracking_ray.state.telemetry import (
+    _CYCLE_METRICS,
+    StatsdPublisher,
+)
 
 
 def _drain(sock) -> list[str]:
@@ -106,6 +109,15 @@ def test_engine_pushes_cycle_metrics_over_uds(tmp_lake, tmp_path):
     )
     assert pushed == durable > 0
     assert any("|#stream:e2e" in ln for ln in lines)
+    # every published cycle metric leaves the process, not just some
+    arrived = {ln.split(":")[0] for ln in lines}
+    assert arrived >= {f"arcane.stream.{name}" for name, _, _ in _CYCLE_METRICS}
+    last_wm = max(
+        int(ln.split(":")[1].split("|")[0])
+        for ln in lines
+        if ln.startswith("arcane.stream.watermark:")
+    )
+    assert last_wm == log.require_watermark().watermark
 
 
 def test_push_failure_never_fails_the_cycle(tmp_lake, tmp_path):
