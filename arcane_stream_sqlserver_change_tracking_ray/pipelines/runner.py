@@ -227,7 +227,9 @@ class StreamRunner:
 
     def _merge(self, ds, cycle_id: str, manifest: Manifest, schema: pa.Schema) -> list[dict]:
         """Write one change batch with the merge mode's writer: direct
-        per-task deltas for ``mor``, the owner-actor pool for ``cow``."""
+        per-task deltas for ``mor``, the owner-actor pool for ``cow``.
+        Both map whole blocks (no batch size), so a small poll's read
+        fuses into the writer's tasks."""
         sink = self.ctx.sink
         if sink.merge_mode not in ("mor", "cow"):
             raise ValueError(
@@ -268,7 +270,7 @@ class StreamRunner:
             partition_files=partition_files,
             schema=schema,
             sorted_by=tuple(sink.sorted_by),
-            batch_size=self.ctx.source.fetch_size,
+            batch_size=None,  # one push per block
             key_col=self._transform.key_col,
             precombine_threshold=sink.precombine_dup_threshold,
             cluster_by=self._cluster_by,
@@ -396,10 +398,12 @@ class StreamRunner:
         ds, hi = polled
 
         # --- T1-T4 ---------------------------------------------------------
+        # a small poll's read, this transform and the writer fuse into one
+        # task per block only while no stage asks for a batch size
         ds = ds.map_batches(
             self._transform,
             batch_format="pyarrow",
-            batch_size=self.ctx.source.fetch_size,
+            batch_size=self.tailer.map_batch_size,
         )
 
         # --- G1 optional staging ------------------------------------------

@@ -108,6 +108,12 @@ class ChangeFeedTailer:
         #: version range spans few segment files (the generator writes
         #: small row groups precisely so reads can split)
         self.target_blocks: int | None = None
+        #: ``batch_size`` for the map stages over the LAST poll's dataset:
+        #: None after a small per-file read (each block is one task's
+        #: worth and a batch size would stop the read fusing into the
+        #: transform and writer, see pqio), ``fetch_size`` after a
+        #: streaming read (bundles the read's blocks into larger tasks)
+        self.map_batch_size: int | None = fetch_size
 
     # ------------------------------------------------------------------
     def next_interval(self) -> float:
@@ -259,6 +265,25 @@ class ChangeFeedTailer:
         predicate = (pc.field(VERSION_COL) > self.watermark) & (
             pc.field(VERSION_COL) <= hi
         )
+        from arcane_stream_sqlserver_change_tracking_ray.pqio import (
+            is_small_read,
+            read_parquet_files,
+        )
+
+        if is_small_read(paths):
+            # small polls (a few fresh segments) skip read_parquet's fixed
+            # planning cost and fuse into the cycle's write tasks; files
+            # smaller than fetch_size share a task, as the transform's
+            # fetch_size bundling grouped them on the streaming path
+            self.map_batch_size = None
+            ds = read_parquet_files(
+                paths,
+                columns=self.columns,
+                filter=predicate,
+                min_rows_per_block=self.fetch_size,
+            )
+            return ds, hi
+        self.map_batch_size = self.fetch_size
         kwargs = {}
         if self.target_blocks:
             blocks = self.target_blocks
@@ -272,12 +297,7 @@ class ChangeFeedTailer:
             if total_rows > 0:
                 blocks = min(blocks, -(-total_rows // MIN_ROWS_PER_BLOCK))
             kwargs["override_num_blocks"] = max(len(paths), blocks)
-        from arcane_stream_sqlserver_change_tracking_ray.pqio import read_parquet_auto
-
-        # small polls (a few fresh segments) skip read_parquet's fixed
-        # planning cost — the dominant per-cycle constant at toy scale;
-        # big polls stream through the standard scan unchanged
-        ds = read_parquet_auto(
+        ds = ray.data.read_parquet(
             paths,
             columns=self.columns,
             filter=predicate,

@@ -145,17 +145,49 @@ PRECOMBINE_DUP_THRESHOLD = 0.25
 
 def precombine_and_hash(
     batch: pa.Table, key_col: str, algo: str, threshold: float = PRECOMBINE_DUP_THRESHOLD
-) -> tuple[pa.Table, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Hash the batch's keys once; LWW-combine the batch ONLY when its
     duplicate rate crosses *threshold* (M2 as an adaptive combiner).
-    Returns the (possibly filtered) batch and its key hashes."""
-    h = hash_keys(batch[key_col], algo)
+
+    Returns ``(keep, h)``: the ascending row indices the batch keeps
+    (every row below the threshold) and the key hashes of those rows,
+    which the writers gather in their own order (:func:`gather_kept`).
+
+    One stable ``lexsort`` by (hash, version descending) gives both the
+    duplicate rate and the winners: the first row of each hash run.
+    Ties on (key, version) keep the earliest row, like the stable
+    string sort of :func:`lww_winner_mask`, so the kept rows are the
+    same.  Two keys may share a 64-bit hash: when adjacent sorted rows
+    share a hash but their keys differ (or are null), and when a
+    version is null or not an integer, the winners come from
+    :func:`lww_winner_mask` instead."""
+    keys = batch[key_col].combine_chunks()  # a take on chunks concatenates them
+    h = hash_keys(keys, algo)
     n = len(h)
-    if n > 1 and (n - np.unique(h).size) > threshold * n:
-        mask = lww_winner_mask(batch, key_col)
-        batch = batch.filter(pa.array(mask))
-        h = h[mask]
-    return batch, h
+    rows = np.arange(n)
+    if n <= 1:
+        return rows, h
+    v = batch[VERSION_COL]
+    exact = pa.types.is_integer(v.type) and v.null_count == 0
+    if exact:
+        # ~v reverses any integer order without overflow
+        order = np.lexsort((~v.to_numpy(), h))
+        hs = h[order]
+        first = np.r_[True, hs[1:] != hs[:-1]]
+    else:
+        first = np.r_[True, np.diff(np.sort(h)) != 0]
+    if n - np.count_nonzero(first) <= threshold * n:
+        return rows, h
+    if exact:
+        same = np.flatnonzero(~first)
+        if same.size:
+            eq = pc.equal(keys.take(order[same - 1]), keys.take(order[same]))
+            exact = eq.null_count == 0 and pc.all(eq).as_py()
+    if exact:
+        keep = np.sort(order[first])
+    else:
+        keep = np.flatnonzero(lww_winner_mask(batch, key_col))
+    return keep, h[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +235,26 @@ def ensure_merge_key_alias(t: pa.Table, key_col: str) -> pa.Table:
     if not pa.types.is_string(col.type):
         col = pc.cast(col, pa.string())
     return t.append_column(MERGE_KEY_COL, col)
+
+
+def gather_kept(batch: pa.Table, keep: np.ndarray, order: np.ndarray) -> pa.Table:
+    """Rows ``keep[order]`` of *batch*: the pre-combine's kept rows in a
+    writer's (pid) order.  A ``take`` on a multi-chunk table
+    concatenates every chunk first (pyarrow 16) — a copy of the whole
+    batch — so the kept rows are filtered chunk by chunk and only they
+    are joined and gathered."""
+    if len(keep) < batch.num_rows:
+        mask = np.zeros(batch.num_rows, dtype=bool)
+        mask[keep] = True
+        batch = batch.filter(pa.array(mask))
+    return batch.combine_chunks().take(order)
+
+
+def _is_delete(t: pa.Table) -> np.ndarray:
+    """Per-row tombstone flag (a null op is an upsert)."""
+    if OP_COL not in t.column_names:
+        return np.zeros(t.num_rows, dtype=bool)
+    return pc.equal(pc.coalesce(t[OP_COL], pa.scalar("U")), OP_DELETE).to_numpy()
 
 
 def drop_tombstones(t: pa.Table) -> pa.Table:
@@ -929,14 +981,15 @@ def apply_change_batch_direct(
         if batch.num_rows == 0:
             return _DIRECT_STATS_SCHEMA.empty_table()
         changes_in_total = batch.num_rows
-        batch, h = precombine_and_hash(batch, key_col, hash_algo, precombine_threshold)
-        combined_away_total = changes_in_total - batch.num_rows
+        keep, h = precombine_and_hash(batch, key_col, hash_algo, precombine_threshold)
+        combined_away_total = changes_in_total - len(keep)
         pid = (h % np.uint64(P)).astype(np.int64)
         order = np.argsort(pid, kind="stable")
-        b = batch.take(pa.array(order))  # ONE payload gather
+        b = gather_kept(batch, keep, order)
         pids = pid[order]
         b = cast_to_schema(ensure_merge_key_alias(b, key_col), schema)
         bounds = np.r_[np.flatnonzero(np.r_[True, pids[1:] != pids[:-1]]), len(pids)]
+        deleted = np.r_[0, np.cumsum(_is_delete(b))]
         fs = lakefs(target_root)
         rel = f"cycles/{cycle_id}/delta-{uuid.uuid4().hex}.parquet"
         rows_stat: list[dict] = []
@@ -952,7 +1005,7 @@ def apply_change_batch_direct(
                     chunk = sl.slice(off, max_rows_per_file)
                     writer.write_table(chunk, row_group_size=chunk.num_rows)
                     rg += 1
-                deletes = sl.num_rows - drop_tombstones(sl).num_rows
+                deletes = int(deleted[e] - deleted[s])
                 rows_stat.append(
                     {
                         PID_COL: int(pids[s]),
@@ -1197,10 +1250,10 @@ class ActorMergePool:
             if rows_in == 0:
                 return pa.table({"rows_in": [0], "rows_kept": [0]})
             # hash once; combine only when the dup rate warrants it (M2)
-            batch, h = precombine_and_hash(batch, key_col, hash_algo, precombine_threshold)
+            keep, h = precombine_and_hash(batch, key_col, hash_algo, precombine_threshold)
             pid = (h % np.uint64(P)).astype(np.int64)
             order = np.argsort(pid, kind="stable")
-            b = batch.take(pa.array(order))  # ONE payload gather
+            b = gather_kept(batch, keep, order)
             pids = pid[order]
             bounds = np.r_[np.flatnonzero(np.r_[True, pids[1:] != pids[:-1]]), len(pids)]
             per_actor: dict[int, list] = {}
@@ -1210,7 +1263,7 @@ class ActorMergePool:
             # blocking gets provide backpressure: a task finishes only
             # after its owners ingested the slices
             ray.get([actors[a].add.remote(sl) for a, sl in per_actor.items()])
-            return pa.table({"rows_in": [rows_in], "rows_kept": [batch.num_rows]})
+            return pa.table({"rows_in": [rows_in], "rows_kept": [len(keep)]})
 
         # consume with take_all: the per-task result is ONE tiny row, and
         # a driver-side sum avoids scheduling an AllToAll aggregate op

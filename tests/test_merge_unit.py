@@ -8,6 +8,7 @@ from arcane_stream_sqlserver_change_tracking_ray.stages.merge import (
     drop_tombstones,
     hash_keys,
     lww_table,
+    lww_winner_mask,
     partition_ids,
     precombine_and_hash,
     stable_hash,
@@ -74,14 +75,54 @@ def test_precombine_and_route():
     """The kernel both writers share: hash once, LWW-combine a batch
     whose duplicate rate crosses the threshold, keep hashes aligned."""
     t = _t([("a", 1, "I"), ("a", 2, "U"), ("b", 3, "I")])
-    out, h = precombine_and_hash(t, MERGE_KEY_COL, "polars", threshold=0.0)
-    assert out.num_rows == len(h) == 2  # within-batch LWW collapsed key 'a'
+    keep, h = precombine_and_hash(t, MERGE_KEY_COL, "polars", threshold=0.0)
+    assert keep.tolist() == [1, 2]  # within-batch LWW collapsed key 'a'
+    out = t.take(keep)
     got = dict(zip(out[MERGE_KEY_COL].to_pylist(), out[VERSION_COL].to_pylist()))
     assert got == {"a": 2, "b": 3}
     assert (h == hash_keys(out[MERGE_KEY_COL], "polars")).all()  # aligned to rows
     # below the threshold the batch ships uncombined
-    kept, h2 = precombine_and_hash(t, MERGE_KEY_COL, "polars", threshold=0.5)
-    assert kept.num_rows == len(h2) == 3
+    keep2, h2 = precombine_and_hash(t, MERGE_KEY_COL, "polars", threshold=0.5)
+    assert keep2.tolist() == [0, 1, 2] and len(h2) == 3
+
+
+def _lww_rows(t):
+    return np.flatnonzero(lww_winner_mask(t, MERGE_KEY_COL)).tolist()
+
+
+def test_precombine_exact_under_forced_hash_collision(monkeypatch):
+    """Every key hashing alike must not merge distinct keys: the
+    hash-sorted winners fall back to the string sort."""
+    import arcane_stream_sqlserver_change_tracking_ray.stages.merge as merge_mod
+
+    monkeypatch.setattr(
+        merge_mod, "hash_keys", lambda keys, algo="pandas": np.full(len(keys), 7, np.uint64)
+    )
+    t = _t([("a", 1, "I"), ("b", 4, "U"), ("a", 3, "U"), ("b", 4, "D"), ("c", 2, "I")])
+    keep, h = precombine_and_hash(t, MERGE_KEY_COL, "polars", threshold=0.0)
+    assert keep.tolist() == _lww_rows(t) == [1, 2, 4]
+    assert len(h) == 3
+
+
+def test_precombine_null_version_falls_back_to_string_sort(monkeypatch):
+    import arcane_stream_sqlserver_change_tracking_ray.stages.merge as merge_mod
+
+    calls = []
+    real = merge_mod.lww_winner_mask
+    monkeypatch.setattr(
+        merge_mod, "lww_winner_mask", lambda *a, **kw: calls.append(1) or real(*a, **kw)
+    )
+    t = pa.table(
+        {
+            MERGE_KEY_COL: ["a", "a", "b", "b"],
+            VERSION_COL: pa.array([1, None, 2, 5], pa.int64()),
+            OP_COL: ["I", "U", "I", "U"],
+        }
+    )
+    keep, h = precombine_and_hash(t, MERGE_KEY_COL, "polars", threshold=0.0)
+    assert calls, "a null version must take the string-sort path"
+    assert keep.tolist() == np.flatnonzero(real(t, MERGE_KEY_COL)).tolist() == [0, 3]
+    assert (h == hash_keys(t[MERGE_KEY_COL], "polars")[keep]).all()
 
 
 @pytest.mark.parametrize("merge_mode", ["mor", "cow"], ids=["direct", "actors"])

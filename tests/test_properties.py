@@ -2,6 +2,7 @@
 force oracle over arbitrary op sequences, and manifest CAS under a
 concurrent committer."""
 
+import numpy as np
 import pyarrow as pa
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,11 @@ from hypothesis import strategies as st
 
 from arcane_stream_sqlserver_change_tracking_ray.stages.merge import (
     drop_tombstones,
+    hash_keys,
     lww_table,
+    lww_winner_mask,
     partition_ids,
+    precombine_and_hash,
 )
 from arcane_stream_sqlserver_change_tracking_ray.state.manifest import (
     CommitConflictError,
@@ -82,6 +86,31 @@ def test_lww_is_splittable(events, cut_parts):
         sorted(zip(*drop_tombstones(recombined).to_pydict().values()))
         == sorted(zip(*drop_tombstones(lww_table(t)).to_pydict().values()))
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 9), st.integers(0, 5), st.sampled_from(["I", "U", "D"])),
+        min_size=1,
+        max_size=120,
+    ),
+    st.sampled_from(["polars", "pandas"]),
+)
+def test_precombine_keeps_the_string_sort_winners(events, algo):
+    """The hash-sorted pre-combine keeps exactly the rows, in the same
+    order, that the string-sort LWW mask keeps — including ties on
+    (key, version), where the earliest row wins."""
+    t = pa.table(
+        {
+            MERGE_KEY_COL: pa.array([f"k{k}" for k, _, _ in events], pa.string()),
+            VERSION_COL: pa.array([v for _, v, _ in events], pa.int64()),
+            OP_COL: pa.array([op for _, _, op in events], pa.string()),
+        }
+    )
+    keep, h = precombine_and_hash(t, MERGE_KEY_COL, algo, threshold=0.0)
+    assert keep.tolist() == np.flatnonzero(lww_winner_mask(t, MERGE_KEY_COL)).tolist()
+    assert (h == hash_keys(t[MERGE_KEY_COL], algo)[keep]).all()
 
 
 @settings(max_examples=50, deadline=None)
