@@ -6,7 +6,9 @@
 selects the change-log parquet segments covering versions
 ``(watermark, hi]`` and returns them as a lazy ``ray.data.Dataset``
 with the version-range predicate and the projection pushed into the
-read — pruned columns and row groups never leave storage.
+read — pruned columns and row groups never leave storage.  The
+predicate is dropped when every chosen segment's footer statistics put
+all of its versions inside the range (see ``ChangeFeedTailer.poll``).
 
 The feed is a directory of version-range segments
 ``v{lo:012d}-{hi:012d}.parquet`` (FIXTURES.md F2).  Poll pacing
@@ -100,9 +102,10 @@ class ChangeFeedTailer:
         #: "budget": b|None} — surfaced for metrics/tests
         self.last_plan_estimate: dict | None = None
         self._last_poll_t: float | None = None
-        #: segment path -> (row count, uncompressed bytes) from the parquet
-        #: footer (cached so a poll never re-reads footers it has seen)
-        self._seg_meta: dict[str, tuple[int, int]] = {}
+        #: segment path -> (row count, uncompressed bytes, version range)
+        #: from the parquet footer (cached so a poll never re-reads
+        #: footers it has seen); see ``_footer_int_range``
+        self._seg_meta: dict[str, tuple[int, int, tuple[int, int] | None]] = {}
         #: split the poll's read into at least this many blocks so the
         #: fused read→transform stage can use every CPU even when the
         #: version range spans few segment files (the generator writes
@@ -211,6 +214,10 @@ class ChangeFeedTailer:
         return int(_available_memory_bytes() * self.memory_budget_fraction)
 
     def _segment_meta(self, path: str) -> tuple[int, int]:
+        """``(row count, uncompressed bytes)`` of a segment."""
+        return self._footer(path)[:2]
+
+    def _footer(self, path: str) -> tuple[int, int, tuple[int, int] | None]:
         meta = self._seg_meta.get(path)
         if meta is None:
             import pyarrow.parquet as pq
@@ -223,11 +230,21 @@ class ChangeFeedTailer:
                 )
                 if nbytes <= 0:
                     nbytes = rows * self._fallback_row_bytes(md.schema.to_arrow_schema())
+                vrange = _footer_int_range(md, VERSION_COL)
             except Exception:
-                rows, nbytes = 0, 0
-            meta = (rows, nbytes)
+                rows, nbytes, vrange = 0, 0, None
+            meta = (rows, nbytes, vrange)
             self._seg_meta[path] = meta
         return meta
+
+    def _inside(self, paths: list[str], hi: int) -> bool:
+        """Whether the footers prove every row of *paths* has a version in
+        ``(watermark, hi]``."""
+        for p in paths:
+            vr = self._footer(p)[2]
+            if vr is None or vr[0] <= self.watermark or vr[1] > hi:
+                return False
+        return True
 
     def _fallback_row_bytes(self, schema) -> int:
         """Per-row size estimate from declared types when footer stats are
@@ -251,6 +268,16 @@ class ChangeFeedTailer:
         ``advance(hi)`` only after the cycle commits, so a failed cycle
         re-polls the same range (exactly-once via idempotent replay).
 
+        The read filters rows by ``watermark < version <= hi`` unless
+        every chosen segment's footer statistics (min, max and a zero
+        null count of the version column, in every row group) place all
+        of its rows inside that range; then it reads without a filter,
+        which saves a copy of the decoded segment.  A segment straddling
+        the range (a memoryBound sub-range admission, a restart inside a
+        segment), one written without statistics, or one with null
+        versions keeps the filter.  Segment file names are never trusted
+        for this.
+
         Pass the ``plan()`` result the cycle already inspected so the
         read covers EXACTLY the segments the cycle's schema decision was
         made from — re-planning here could pick up a segment that landed
@@ -262,9 +289,11 @@ class ChangeFeedTailer:
             return None
         paths, hi = planned
         self._throttle(hi - self.watermark)
-        predicate = (pc.field(VERSION_COL) > self.watermark) & (
-            pc.field(VERSION_COL) <= hi
-        )
+        predicate = None
+        if not self._inside(paths, hi):
+            predicate = (pc.field(VERSION_COL) > self.watermark) & (
+                pc.field(VERSION_COL) <= hi
+            )
         from arcane_stream_sqlserver_change_tracking_ray.pqio import (
             is_small_read,
             read_parquet_files,
@@ -309,6 +338,30 @@ class ChangeFeedTailer:
         if hi < self.watermark:
             raise ValueError(f"tailer cursor must be monotone: {hi} < {self.watermark}")
         self.watermark = hi
+
+
+def _footer_int_range(md, column: str) -> tuple[int, int] | None:
+    """``(min, max)`` of an integer column over a file's row groups, or
+    None when any row group lacks min/max or a zero null count."""
+    names = [md.schema.column(j).path for j in range(md.num_columns)]
+    if column not in names:
+        return None
+    j = names.index(column)
+    lo = hi = None
+    for i in range(md.num_row_groups):
+        st = md.row_group(i).column(j).statistics
+        if (
+            st is None
+            or not st.has_min_max
+            or not st.has_null_count
+            or st.null_count != 0
+            or type(st.min) is not int
+            or type(st.max) is not int
+        ):
+            return None
+        lo = st.min if lo is None else min(lo, st.min)
+        hi = st.max if hi is None else max(hi, st.max)
+    return None if lo is None else (lo, hi)
 
 
 def _available_memory_bytes() -> int:

@@ -170,12 +170,16 @@ class LakeFS:
     def read_schema(self, rel: str) -> pa.Schema:
         raise NotImplementedError
 
-    def parquet_writer(self, rel: str, schema: pa.Schema, *, compression: str):
+    def parquet_writer(
+        self, rel: str, schema: pa.Schema, *, compression: str, use_dictionary=True
+    ):
         """A streaming multi-row-group writer handle for one data file
         (the direct-MoR hot path).  ``handle.write_table(t, row_group_size)``
         appends; ``handle.close(durable=True)`` publishes — on an object
         store the stream maps to a multipart upload whose completion is
-        the store's atomic publish."""
+        the store's atomic publish.  *use_dictionary* is
+        ``pq.ParquetWriter``'s: a bool, or the columns to
+        dictionary-encode."""
         raise NotImplementedError
 
     # -- npz sidecars ---------------------------------------------------------
@@ -305,7 +309,7 @@ class LocalLakeFS(LakeFS):
     def read_schema(self, rel: str) -> pa.Schema:
         return pq.read_schema(self.full(rel))
 
-    def parquet_writer(self, rel: str, schema, *, compression: str):
+    def parquet_writer(self, rel: str, schema, *, compression: str, use_dictionary=True):
         path = self.full(rel)
         os.makedirs(os.path.dirname(path), exist_ok=True)
 
@@ -318,7 +322,10 @@ class LocalLakeFS(LakeFS):
                     os.close(fd)
 
         return _WriterHandle(
-            pq.ParquetWriter(path, schema, compression=compression), publish
+            pq.ParquetWriter(
+                path, schema, compression=compression, use_dictionary=use_dictionary
+            ),
+            publish,
         )
 
     def write_npz(self, rel: str, **arrays) -> None:
@@ -472,7 +479,7 @@ class ArrowLakeFS(LakeFS):
     def read_schema(self, rel: str) -> pa.Schema:
         return pq.read_schema(self._fs.open_input_file(self.full(rel)))
 
-    def parquet_writer(self, rel: str, schema, *, compression: str):
+    def parquet_writer(self, rel: str, schema, *, compression: str, use_dictionary=True):
         path = self.full(rel)
         self._fs.create_dir(posixpath.dirname(path), recursive=True)
         is_local = self._is_local()
@@ -487,7 +494,10 @@ class ArrowLakeFS(LakeFS):
             # remote stores: the stream close IS the multipart completion
 
         return _WriterHandle(
-            pq.ParquetWriter(path, schema, compression=compression, filesystem=self._fs),
+            pq.ParquetWriter(
+                path, schema, compression=compression,
+                use_dictionary=use_dictionary, filesystem=self._fs,
+            ),
             publish,
         )
 
@@ -625,7 +635,7 @@ class ObjectStoreFS(LakeFS):
     def read_schema(self, rel: str) -> pa.Schema:
         return pq.read_schema(self._key(rel))
 
-    def parquet_writer(self, rel: str, schema, *, compression: str):
+    def parquet_writer(self, rel: str, schema, *, compression: str, use_dictionary=True):
         # a streaming write maps to a MULTIPART UPLOAD: parts stream to
         # an upload id, COMPLETE publishes the object atomically.
         # [store-internal] hidden upload key + final replace emulate that.
@@ -637,7 +647,10 @@ class ObjectStoreFS(LakeFS):
             os.replace(upload, path)  # multipart COMPLETE (atomic publish)
 
         return _WriterHandle(
-            pq.ParquetWriter(upload, schema, compression=compression), publish
+            pq.ParquetWriter(
+                upload, schema, compression=compression, use_dictionary=use_dictionary
+            ),
+            publish,
         )
 
     def write_npz(self, rel: str, **arrays) -> None:

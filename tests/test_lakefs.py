@@ -91,6 +91,52 @@ def test_backend_contract(tmp_path, scheme):
     assert pf.metadata.num_rows == 3 and pf.metadata.num_row_groups == 2
 
 
+@pytest.mark.parametrize("scheme", ["", "file://", "mock://"])
+def test_dictionary_pages_only_where_values_repeat(tmp_path, scheme):
+    """Both data-file writers dictionary-encode only the columns whose
+    leading values repeat: a unique string column's chunk has no
+    dictionary page, a low-cardinality one has; the table reads back
+    equal on every backend."""
+    import pyarrow as pa
+
+    from arcane_stream_sqlserver_change_tracking_ray.stages.merge import (
+        dictionary_columns,
+        write_partition_files,
+    )
+
+    root = f"{scheme}{tmp_path}/lake"
+    fs = lakefs(root)
+    n = 3000
+    t = pa.table(
+        {
+            "url": [f"https://site/{i}" for i in range(n)],
+            "lang": ["en", "de", "fr"] * (n // 3),
+            "v": pa.array(range(n), pa.int64()),
+        }
+    )
+    assert dictionary_columns(t) == ["lang"]
+
+    h = fs.parquet_writer(
+        "cycles/c1/d.parquet", t.schema, compression="zstd",
+        use_dictionary=dictionary_columns(t),
+    )
+    h.write_table(t, row_group_size=1000)
+    h.close(durable=True)
+    rels, _ = write_partition_files(
+        t, root, "c2", 0, max_rows_per_file=n, compression="zstd", fsync=True
+    )
+    for rel in ["cycles/c1/d.parquet", *rels]:
+        assert fs.read_table(rel).equals(t)
+        md = fs.parquet_file(rel).metadata
+        for i in range(md.num_row_groups):
+            rg = md.row_group(i)
+            dict_page = {
+                rg.column(j).path_in_schema: rg.column(j).has_dictionary_page
+                for j in range(rg.num_columns)
+            }
+            assert dict_page == {"url": False, "lang": True, "v": False}
+
+
 def test_object_store_put_is_never_partial(tmp_path):
     """A reader can never observe a half-written object (the store's
     atomic-PUT guarantee the mock must preserve)."""

@@ -7,6 +7,8 @@ import pytest
 from arcane_stream_sqlserver_change_tracking_ray.stages.merge import (
     drop_tombstones,
     hash_keys,
+    lww_alive,
+    lww_string_sort_mask,
     lww_table,
     lww_winner_mask,
     partition_ids,
@@ -87,12 +89,20 @@ def test_precombine_and_route():
 
 
 def _lww_rows(t):
-    return np.flatnonzero(lww_winner_mask(t, MERGE_KEY_COL)).tolist()
+    return np.flatnonzero(lww_string_sort_mask(t, MERGE_KEY_COL)).tolist()
+
+
+def test_lww_winner_mask_on_zero_rows():
+    """Regression: the kernel once raised IndexError on an empty table."""
+    for mask_fn in (lww_winner_mask, lww_string_sort_mask):
+        mask = mask_fn(_t([]), MERGE_KEY_COL)
+        assert mask.dtype == bool and mask.shape == (0,)
 
 
 def test_precombine_exact_under_forced_hash_collision(monkeypatch):
     """Every key hashing alike must not merge distinct keys: the
-    hash-sorted winners fall back to the string sort."""
+    hash-sorted winners fall back to the string sort, in the
+    pre-combine and in the read-side mask alike."""
     import arcane_stream_sqlserver_change_tracking_ray.stages.merge as merge_mod
 
     monkeypatch.setattr(
@@ -102,15 +112,16 @@ def test_precombine_exact_under_forced_hash_collision(monkeypatch):
     keep, h = precombine_and_hash(t, MERGE_KEY_COL, "polars", threshold=0.0)
     assert keep.tolist() == _lww_rows(t) == [1, 2, 4]
     assert len(h) == 3
+    assert np.flatnonzero(lww_winner_mask(t)).tolist() == [1, 2, 4]
 
 
 def test_precombine_null_version_falls_back_to_string_sort(monkeypatch):
     import arcane_stream_sqlserver_change_tracking_ray.stages.merge as merge_mod
 
     calls = []
-    real = merge_mod.lww_winner_mask
+    real = merge_mod.lww_string_sort_mask
     monkeypatch.setattr(
-        merge_mod, "lww_winner_mask", lambda *a, **kw: calls.append(1) or real(*a, **kw)
+        merge_mod, "lww_string_sort_mask", lambda *a, **kw: calls.append(1) or real(*a, **kw)
     )
     t = pa.table(
         {
@@ -123,6 +134,15 @@ def test_precombine_null_version_falls_back_to_string_sort(monkeypatch):
     assert calls, "a null version must take the string-sort path"
     assert keep.tolist() == np.flatnonzero(real(t, MERGE_KEY_COL)).tolist() == [0, 3]
     assert (h == hash_keys(t[MERGE_KEY_COL], "polars")[keep]).all()
+
+
+def test_lww_alive_is_one_filter_of_lww_and_tombstones():
+    t = _t([("a", 1, "I"), ("b", 2, "I"), ("a", 3, "D"), ("c", 4, "U"), ("b", 5, "U")])
+    alive, deletes = lww_alive(t)
+    assert alive.equals(drop_tombstones(lww_table(t)))
+    assert alive[MERGE_KEY_COL].to_pylist() == ["c", "b"] and deletes == 1
+    same, none_deleted = lww_alive(_t([("a", 1, "I"), ("b", 2, "U")]))
+    assert same.num_rows == 2 and none_deleted == 0
 
 
 @pytest.mark.parametrize("merge_mode", ["mor", "cow"], ids=["direct", "actors"])

@@ -115,3 +115,95 @@ def test_mor_cycle_writes_one_delta_per_large_segment(tmp_lake):
     files = {e.partition("#rg=")[0] for fl in m.deltas.values() for e in fl}
     assert len(files) == 3
     assert_tables_equal(read_target_table(tgt), expected_final_state(ct))
+
+
+# ---------------------------------------------------------------------------
+# the tailer drops the version filter only when the footers prove it
+# ---------------------------------------------------------------------------
+def _poll_rows(tailer):
+    """``(read filter, per-task footer row counts, rows sorted by version)``
+    of one poll."""
+    from arcane_stream_sqlserver_change_tracking_ray.types import VERSION_COL
+
+    ds, hi = tailer.poll()
+    src = ds._logical_plan.dag._datasource
+    counts = [rt.metadata.num_rows for rt in src.get_read_tasks(1)]
+    rows = pa.concat_tables(
+        ds.iter_batches(batch_format="pyarrow", batch_size=None)
+    ).sort_by([(VERSION_COL, "ascending")])
+    return src._filter, counts, rows, hi
+
+
+def _filtered_read(paths, lo, hi) -> pa.Table:
+    from arcane_stream_sqlserver_change_tracking_ray.types import VERSION_COL
+
+    v = pc.field(VERSION_COL)
+    return pq.read_table(paths, filters=(v > lo) & (v <= hi)).sort_by(
+        [(VERSION_COL, "ascending")]
+    )
+
+
+@pytest.mark.parametrize("watermark", [0, 200])
+def test_poll_inside_the_range_reads_without_filter(tmp_path, watermark):
+    """Segments whose footers put every version in (watermark, hi] are
+    read with no filter: the same rows as the filtered read, and footer
+    row counts that are exact."""
+    from arcane_stream_sqlserver_change_tracking_ray.sources.ctlog import (
+        ChangeFeedTailer,
+        list_segments,
+    )
+
+    d = str(tmp_path / "ct")
+    write_ctlog(d, small_spec())
+    t = ChangeFeedTailer(d, watermark, rows_per_poll=10**6)
+    flt, counts, rows, hi = _poll_rows(t)
+    assert flt is None and hi == 1000
+    paths = [p for _, s_hi, p in list_segments(d) if s_hi > watermark]
+    assert rows.equals(_filtered_read(paths, watermark, hi))
+    assert sum(counts) == rows.num_rows == 1000 - watermark
+
+
+def test_poll_straddling_the_watermark_keeps_the_filter(tmp_path):
+    """A memoryBound admission of part of a segment, then a restart from
+    the committed watermark inside that segment: both polls filter, and
+    the second returns none of the rows the first committed."""
+    from arcane_stream_sqlserver_change_tracking_ray.sources.ctlog import (
+        ChangeFeedTailer,
+        list_segments,
+    )
+
+    d = str(tmp_path / "ct")
+    write_ctlog(d, small_spec())
+    paths = [p for _, _, p in list_segments(d)]
+    budget = ChangeFeedTailer(d, 0)._segment_meta(paths[0])[1] // 3
+    first = ChangeFeedTailer(
+        d, 0, shaper="memoryBound", memory_budget_bytes=budget, rows_per_poll=10**6
+    )
+    flt, _, rows, hi = _poll_rows(first)
+    assert flt is not None and 0 < hi < 200
+    assert rows.equals(_filtered_read(paths[:1], 0, hi))
+
+    restarted = ChangeFeedTailer(d, hi, rows_per_poll=10**6)
+    flt, _, rest, end = _poll_rows(restarted)
+    assert flt is not None and end == 1000
+    assert rest.equals(_filtered_read(paths, hi, end))
+    from arcane_stream_sqlserver_change_tracking_ray.types import VERSION_COL
+
+    assert pc.min(rest[VERSION_COL]).as_py() == hi + 1
+    assert rows.num_rows + rest.num_rows == 1000
+
+
+def test_poll_without_footer_statistics_keeps_the_filter(tmp_path):
+    from arcane_stream_sqlserver_change_tracking_ray.sources.ctlog import (
+        ChangeFeedTailer,
+        list_segments,
+    )
+
+    d = str(tmp_path / "ct")
+    write_ctlog(d, small_spec())
+    paths = [p for _, _, p in list_segments(d)]
+    pq.write_table(pq.read_table(paths[0]), paths[0], write_statistics=False)
+    t = ChangeFeedTailer(d, 0, rows_per_poll=10**6)
+    flt, _, rows, hi = _poll_rows(t)
+    assert flt is not None and hi == 1000
+    assert rows.equals(_filtered_read(paths, 0, hi))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from arcane_stream_sqlserver_change_tracking_ray.stages.merge import (
     drop_tombstones,
     hash_keys,
+    lww_string_sort_mask,
     lww_table,
     lww_winner_mask,
     partition_ids,
@@ -91,25 +92,37 @@ def test_lww_is_splittable(events, cut_parts):
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(
-        st.tuples(st.integers(0, 9), st.integers(0, 5), st.sampled_from(["I", "U", "D"])),
-        min_size=1,
+        st.tuples(
+            st.one_of(st.none(), st.integers(0, 9)),
+            st.one_of(st.none(), st.integers(0, 5)),
+            st.sampled_from(["I", "U", "D"]),
+        ),
+        min_size=0,
         max_size=120,
     ),
     st.sampled_from(["polars", "pandas"]),
+    st.booleans(),
 )
-def test_precombine_keeps_the_string_sort_winners(events, algo):
-    """The hash-sorted pre-combine keeps exactly the rows, in the same
-    order, that the string-sort LWW mask keeps — including ties on
-    (key, version), where the earliest row wins."""
+def test_precombine_keeps_the_string_sort_winners(events, algo, nulls):
+    """The hash-sorted LWW kernel — in the pre-combine and in
+    ``lww_winner_mask`` — keeps exactly the rows, in the same order,
+    that the string-sort mask keeps: ties on (key, version) keep the
+    earliest row, and null keys or versions take the exact fallback."""
+    if not nulls:
+        events = [(k or 0, 0 if v is None else v, op) for k, v, op in events]
     t = pa.table(
         {
-            MERGE_KEY_COL: pa.array([f"k{k}" for k, _, _ in events], pa.string()),
+            MERGE_KEY_COL: pa.array(
+                [None if k is None else f"k{k}" for k, _, _ in events], pa.string()
+            ),
             VERSION_COL: pa.array([v for _, v, _ in events], pa.int64()),
             OP_COL: pa.array([op for _, _, op in events], pa.string()),
         }
     )
+    want = np.flatnonzero(lww_string_sort_mask(t, MERGE_KEY_COL)).tolist()
+    assert np.flatnonzero(lww_winner_mask(t, MERGE_KEY_COL)).tolist() == want
     keep, h = precombine_and_hash(t, MERGE_KEY_COL, algo, threshold=0.0)
-    assert keep.tolist() == np.flatnonzero(lww_winner_mask(t, MERGE_KEY_COL)).tolist()
+    assert keep.tolist() == want
     assert (h == hash_keys(t[MERGE_KEY_COL], algo)[keep]).all()
 
 
