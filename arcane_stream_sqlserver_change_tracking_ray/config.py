@@ -41,16 +41,18 @@ class SourceSettings:
     change_capture_jitter: float = 0.0
     #: seed for the jitter PRNG (changeCaptureJitterSeed)
     change_capture_jitter_seed: int = 42
-    #: arrow batch size when scanning the feed (fetchSize analog)
+    #: rows per read unit when scanning the feed (fetchSize analog):
+    #: whole segments share a unit up to this many rows, and a split
+    #: never makes a unit smaller
     fetch_size: int = 65536
     #: primary-key columns the merge key is synthesized from (T3)
     key_columns: tuple[str, ...] = ("url",)
     #: source buffering strategy (reference source.buffering,
-    #: docs/crd.md:205-223; CRD ...stream.yaml:450-478).  Ray Data's
-    #: streaming executor buffers between operators natively; "bounded"
-    #: additionally caps the executor's object-store budget so an
-    #: oversized poll backpressures the read instead of ballooning:
-    #: none (executor defaults) | unbounded (no cap) | bounded
+    #: docs/crd.md:205-223; CRD ...stream.yaml:450-478).  The ingest
+    #: cycle holds at most one read unit per CPU whatever the strategy
+    #: (one task per unit, nothing in the object store); "bounded" caps
+    #: Ray Data's object-store budget, which bounds staging and the
+    #: table reads: none (executor defaults) | unbounded (no cap) | bounded
     buffering: str = "none"
     #: rows the bounded buffer may hold (maxBufferSize analog); converted
     #: to an object-store byte budget with the shaper's row-size estimate
@@ -216,16 +218,17 @@ class ThroughputSettings:
     #: objectTypeSizeEstimate, CRD ...stream.yaml:369-376)
     fallback_string_size: int = 50
     object_size_estimate: int = 4096
-    #: read-split granularity: a poll is split into ``blocks_per_cpu x
-    #: CPUs`` blocks (each block = one push task = one delta file in the
-    #: direct-MoR path).  More blocks keep scheduling waves full when a
-    #: poll spans few segment files, but every extra delta file pays
+    #: read-split granularity: a poll whose whole segments give fewer
+    #: read units is split into about ``blocks_per_cpu x CPUs`` units of
+    #: row-group runs, each at least ``fetch_size`` rows (each unit = one
+    #: task = one delta file in the direct-MoR path; see ``pqio``).  More
+    #: units keep scheduling waves full when a poll spans few segment
+    #: files, but every extra delta file pays
     #: fixed costs (fsync, footer re-read, num_partitions tiny row
     #: groups) that grow with CPU count.  Measured on the 20M-event
     #: replay (two reps each level): 2 beats 4 at 32 CPUs by 7-15% and
     #: at 8 CPUs by ~2%, so 2 is the default; raise it if polls span
-    #: very few files at low parallelism (the len(paths) floor already
-    #: covers the common case)
+    #: very few files at low parallelism
     blocks_per_cpu: int = 2
 
 

@@ -11,9 +11,11 @@ The Ray-native analog of the reference's processor graph
          partitioned LWW merge M1/M2 → manifest commit K1/K2 →
          dispose staging K3 → every N batches maintenance K4
 
-Each cycle is one lazy Ray Data pipeline; the streaming executor
-pipelines read → transform → route → write with backpressure.  The
-driver only plans, folds tiny stats tables, and commits manifests.
+Each cycle runs one plain Ray task per read unit, planned from the
+change-log footers (``pqio``): the task reads, transforms, routes and
+writes, and returns only its stats rows.  No Ray Data executor runs in
+the cycle (reads of the target table still use Ray Data).  The driver
+only plans, folds tiny stats rows, and commits manifests.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ import pyarrow as pa
 
 from arcane_stream_sqlserver_change_tracking_ray.config import StreamContext
 from arcane_stream_sqlserver_change_tracking_ray.functions import transforms as T
+from arcane_stream_sqlserver_change_tracking_ray.pqio import plan_units, units_dataset
 from arcane_stream_sqlserver_change_tracking_ray.sources.ctlog import (
     ChangeFeedTailer,
     list_segments,
     max_available_version,
-    read_snapshot,
     snapshot_files,
 )
 from arcane_stream_sqlserver_change_tracking_ray.stages import staging as G
@@ -113,10 +115,12 @@ class TransformStage:
 
 class _AsInsertEvents:
     """Turn snapshot rows into synthetic ``I`` events stamped with the
-    backfill version (M4: backfill rows flow through the same merge path)."""
+    backfill version, then apply the cycle transform *then* (M4: backfill
+    rows flow through the same merge path)."""
 
-    def __init__(self, stamp: int):
+    def __init__(self, stamp: int, then: TransformStage):
         self.stamp = stamp
+        self.then = then
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         if VERSION_COL in batch.column_names:
@@ -126,9 +130,10 @@ class _AsInsertEvents:
         )
         if OP_COL in batch.column_names:
             batch = batch.drop_columns([OP_COL])
-        return batch.append_column(
+        batch = batch.append_column(
             OP_COL, pa.array([OP_INSERT] * batch.num_rows, pa.string())
         )
+        return self.then(batch)
 
 
 def transformed_schema(file_schema: pa.Schema, ctx: StreamContext) -> pa.Schema:
@@ -225,11 +230,34 @@ class StreamRunner:
             )
         return self._pool
 
-    def _merge(self, ds, cycle_id: str, manifest: Manifest, schema: pa.Schema) -> list[dict]:
+    def _target_units(self) -> int | None:
+        """``blocks_per_cpu x CPUs``: how many read units a read is split
+        into when whole files give fewer (see ``pqio.plan_units``)."""
+        try:
+            import ray
+
+            cpus = int(ray.cluster_resources().get("CPU", 0))
+        except Exception:
+            return None
+        return (self.ctx.throughput.blocks_per_cpu * cpus) or None
+
+    def _plan(self, paths: list[str], predicate=None) -> list:
+        """Read units for change-log or snapshot *paths*, planned as a
+        poll plans them."""
+        return plan_units(
+            paths,
+            filter=predicate,
+            min_rows=self.ctx.source.fetch_size,
+            target_units=self._target_units(),
+        )
+
+    def _merge(
+        self, units, cycle_id: str, manifest: Manifest, schema: pa.Schema, transform
+    ) -> list[dict]:
         """Write one change batch with the merge mode's writer: direct
         per-task deltas for ``mor``, the owner-actor pool for ``cow``.
-        Both map whole blocks (no batch size), so a small poll's read
-        fuses into the writer's tasks."""
+        Both run one task per read unit, applying *transform* to what it
+        reads."""
         sink = self.ctx.sink
         if sink.merge_mode not in ("mor", "cow"):
             raise ValueError(
@@ -239,14 +267,14 @@ class StreamRunner:
             # looked up on the module at call time, so tracing hooks that
             # rebind module attributes see the call
             return _merge_mod.apply_change_batch_direct(
-                ds,
+                units,
+                transform=transform,
                 target_root=sink.target_root,
                 cycle_id=cycle_id,
                 schema=schema,
                 num_partitions=manifest.num_partitions,
                 compression=sink.parquet_compression,
                 sorted_by=tuple(sink.sorted_by),
-                batch_size=None,  # one delta file per read block
                 key_col=self._transform.key_col,
                 fsync=sink.durable_writes,
                 bloom_columns=tuple(sink.bloom_filter_columns),
@@ -265,12 +293,12 @@ class StreamRunner:
         }
         pool = self._cow_pool(manifest.num_partitions, manifest.key_hash_algo)
         return pool.apply_change_batch(
-            ds,
+            units,
+            transform=transform,
             cycle_id=cycle_id,
             partition_files=partition_files,
             schema=schema,
             sorted_by=tuple(sink.sorted_by),
-            batch_size=None,  # one push per block
             key_col=self._transform.key_col,
             precombine_threshold=sink.precombine_dup_threshold,
             cluster_by=self._cluster_by,
@@ -319,29 +347,23 @@ class StreamRunner:
             object_size_estimate=tp.object_size_estimate,
         )
         self._apply_buffering()
-        try:
-            import ray
-
-            cpus = int(ray.cluster_resources().get("CPU", 0))
-            # blocks_per_cpu x CPUs: a poll spanning few segment files
-            # would otherwise quantize into len(files) blocks — e.g. 10
-            # files on 8 CPUs is 2 waves (the 2nd nearly idle), a ~40%
-            # efficiency hole (BENCH/BASELINE.md round-2 profile).  Each
-            # block is also one delta file in the direct-MoR path, so
-            # over-splitting pays per-file fixed costs that grow with CPU
-            # count — see ThroughputSettings.blocks_per_cpu for the
-            # measured trade
-            self.tailer.target_blocks = (tp.blocks_per_cpu * cpus) or None
-        except Exception:
-            pass
+        # blocks_per_cpu x CPUs: a poll spanning few segment files would
+        # otherwise quantize into len(files) units — e.g. 10 files on 8
+        # CPUs is 2 waves (the 2nd nearly idle), a ~40% efficiency hole
+        # (BENCH/BASELINE.md round-2 profile).  Each unit is also one
+        # delta file in the direct-MoR path, so over-splitting pays
+        # per-file fixed costs that grow with CPU count — see
+        # ThroughputSettings.blocks_per_cpu for the measured trade
+        self.tailer.target_units = self._target_units()
         return manifest
 
     def _apply_buffering(self) -> None:
-        """G3 source buffering: Ray Data's streaming executor buffers
-        between operators natively (the `unbounded`/default strategies);
-        `bounded` additionally caps the executor's object-store budget to
-        ~maxBufferSize rows so an oversized poll backpressures the read
-        (reference source.buffering, docs/crd.md:205-223)."""
+        """G3 source buffering.  The ingest cycle holds at most one read
+        unit per CPU in memory (one task per unit, nothing in the object
+        store), whatever the strategy.  `bounded` also caps Ray Data's
+        object-store budget to ~maxBufferSize rows, which bounds the
+        Ray Data paths: staging (G1) and the target reads (reference
+        source.buffering, docs/crd.md:205-223)."""
         mode = self.ctx.source.buffering
         if mode not in ("none", "unbounded", "bounded"):
             raise ValueError(f"unknown source.buffering: {mode!r}")
@@ -395,16 +417,10 @@ class StreamRunner:
         self.tailer.columns = columns
         polled = self.tailer.poll(planned=(paths, hi))
         assert polled is not None
-        ds, hi = polled
+        units, hi = polled
 
-        # --- T1-T4 ---------------------------------------------------------
-        # a small poll's read, this transform and the writer fuse into one
-        # task per block only while no stage asks for a batch size
-        ds = ds.map_batches(
-            self._transform,
-            batch_format="pyarrow",
-            batch_size=self.tailer.map_batch_size,
-        )
+        # --- T1-T4 run inside the writer's task for each unit ---------------
+        transform = self._transform
 
         # --- G1 optional staging ------------------------------------------
         staging_dir = None
@@ -412,8 +428,10 @@ class StreamRunner:
             staging_root = self.ctx.staging.staging_root or (
                 self.ctx.sink.target_root + "/staging"
             )
-            ds, staging_dir = G.stage_change_batch(
-                ds,
+            # the staged batch is already transformed
+            transform = None
+            units, staging_dir = G.stage_change_batch(
+                units_dataset(units).map_batches(self._transform, batch_format="pyarrow"),
                 staging_root,
                 self.ctx.staging.table_prefix,
                 f"c{manifest.version + 1:06d}",
@@ -445,7 +463,7 @@ class StreamRunner:
         cycle_id = f"{manifest.version + 1:012d}-{uuid.uuid4().hex[:8]}"
         t_merge = time.perf_counter()
         stats = self.retry.call(
-            self._merge, ds, cycle_id, manifest, unified,
+            self._merge, units, cycle_id, manifest, unified, transform,
             backfill=self.ctx.stream_mode.backfill,
         )
         merge_s = time.perf_counter() - t_merge
@@ -604,14 +622,11 @@ class StreamRunner:
         files = snapshot_files(ctx.source.snapshot_dir)
         if behavior == "merge":
             # snapshot rows as synthetic insert events via the normal path
-            ds = read_snapshot(ctx.source.snapshot_dir)
-            ds = ds.map_batches(
-                _AsInsertEvents(stamp), batch_format="pyarrow"
-            ).map_batches(self._transform, batch_format="pyarrow")
             unified = self._overwrite_schema(files, manifest)
             cycle_id = f"backfill-{backfill_id}"
             stats = self.retry.call(
-                self._merge, ds, cycle_id, manifest, unified, backfill=True
+                self._merge, self._plan(files), cycle_id, manifest, unified,
+                _AsInsertEvents(stamp, self._transform), backfill=True,
             )
             nxt = manifest.next()
             nxt.schema = unified
@@ -654,22 +669,18 @@ class StreamRunner:
             key = str(si)
             if key in state["shards"]:
                 continue  # restartable: skip finished shards (docs/crd.md:45-47)
-            ds = read_snapshot(shard_file)
-            ds = ds.map_batches(
-                _AsInsertEvents(stamp), batch_format="pyarrow"
-            ).map_batches(self._transform, batch_format="pyarrow")
             cycle_id = f"backfill-{backfill_id}-s{si:04d}"
             # overwrite writes a fresh BASE layout through the cow writer,
             # never deltas; partition_files={} ignores the current target
             stats = self._cow_pool(
                 manifest.num_partitions, manifest.key_hash_algo
             ).apply_change_batch(
-                ds,
+                self._plan([shard_file]),
+                transform=_AsInsertEvents(stamp, self._transform),
                 cycle_id=cycle_id,
                 partition_files={},
                 schema=overwrite_schema,
                 sorted_by=tuple(ctx.sink.sorted_by),
-                batch_size=ctx.source.fetch_size,
                 key_col=self._transform.key_col,
                 precombine_threshold=ctx.sink.precombine_dup_threshold,
                 cluster_by=self._cluster_by,
@@ -784,15 +795,14 @@ class StreamRunner:
         if not paths:
             return
         import pyarrow.compute as pc
-        import ray.data
 
         manifest = self.log.latest()
         predicate = (pc.field(VERSION_COL) > lo) & (pc.field(VERSION_COL) <= hi)
-        ds = ray.data.read_parquet(paths, filter=predicate).map_batches(
-            self._transform, batch_format="pyarrow"
-        )
         cycle_id = f"replay-{tag}"
-        stats = self._merge(ds, cycle_id, manifest, manifest.schema)
+        stats = self._merge(
+            self._plan(paths, predicate), cycle_id, manifest, manifest.schema,
+            self._transform,
+        )
         nxt = manifest.next()
         metrics = fold_stats_into_manifest(nxt, stats, cycle_id)
         metrics["replay_range"] = [lo, hi]

@@ -1,205 +1,191 @@
-"""Parquet read helper: ``ray.data.read_parquet`` with a SMALL-READ
-fast path that fuses into the tasks that consume it.
+"""Parquet reads planned from footers into *read units*.
 
-``read_parquet`` pays a fixed planning cost per call — dataset metadata
-resolution, a remote fragment-sampling round trip (launched
-unconditionally in Ray 2.49 for the decoding-size estimate), and scan
-operator startup — ~0.2–0.5 s that is pure overhead when the input is a
-few MB.  That is exactly the per-cycle pattern of a streaming CDC
-engine: poll a handful of fresh CT-log segments, re-read a just-written
-staging dir, read a partition's delta files.
+A :class:`ReadUnit` is a picklable description of one task's input:
+file paths, the row-group run to read from each, the read's unified
+schema, the projection and the row filter.  ``ReadUnit.read()`` is one
+pyarrow dataset read against that schema, so a file that lacks a column
+an additive migration added later in the read returns it as nulls.
 
-Below :data:`SMALL_READ_TOTAL_BYTES` in total (and
-:data:`SMALL_READ_FILE_BYTES` per file, so no block outgrows the target
-block size) :func:`read_parquet_files` reads the files through a lazy
-Ray Data ``Datasource`` instead:
+:func:`plan_units` reads only the footers, on the driver, and launches
+no task:
 
-- The driver reads only the footers: one unified schema (a file that
-  lacks a column an additive migration added later in the poll reads
-  it as nulls) plus each file's row count and decoded size for the
-  ``BlockMetadata``.  Calling it launches no task.
-- Each ``ReadTask`` is a pyarrow dataset read of its file(s) against
-  that unified schema, with the caller's projection and row filter,
-  yielding ONE block.  The read runs ``override_num_blocks =
-  len(read tasks)``, so Ray adds no split factor — a split factor would
-  block operator fusion.  A downstream ``map_batches`` with
-  ``batch_size=None`` then fuses with the read: read → transform →
-  route → delta write run in one task per block, and the decoded table
-  never goes through the object store.
-- A ``batch_size`` on the first downstream ``map_batches`` blocks that
-  fusion (Ray does not fuse a read into an operator that asks for a
-  minimum bundle size).  Callers that want larger tasks pass
-  ``min_rows_per_block``: consecutive files then share one read task
-  until their footer row count reaches it, as a ``batch_size`` map's
-  bundling would group them.  ``read_parquet_auto`` ignores
-  ``override_num_blocks`` on this path.
+- Consecutive whole files share a unit until it reaches ``min_rows``
+  footer rows (a change-log poll passes ``fetch_size``), so a poll of
+  100k-event segments plans one unit per segment.
+- Only when that gives fewer than ``target_units`` units (the runner
+  passes ``blocks_per_cpu x CPUs``) are files split into contiguous
+  row-group runs, and never into units smaller than ``min_rows``.
 
-Why not ``from_arrow``/``from_arrow_refs`` or ``from_items`` +
-``map_batches``: ``from_arrow*`` runs a remote metadata task before the
-first consumer can start, and reading each file in its own remote task
-puts the decoded table in the object store (~37 MB per 100k-event
-segment).  A ``from_items`` table of paths has 1-row blocks, so a
-downstream ``batch_size`` bundling packs every file of a poll into one
-task.
+The ingest writers (``stages.merge``) run one plain Ray task per unit:
+it reads, transforms and writes, and returns only its stats rows, so
+the decoded data never enters the object store and a cycle runs no Ray
+Data executor.  Planning replaces ``ray.data.read_parquet``'s fixed
+cost per call (metadata resolution, a remote fragment-sampling round
+trip, scan-operator start-up: 0.2-0.5 s), which dominated small polls.
 
-Anything larger takes the standard streaming ``read_parquet`` path
-unchanged (row-group pruning, block splitting, backpressure) — at
-100 TB every hot read is far above the threshold.
+:func:`units_dataset` is a lazy Ray Data view of units (a
+``Datasource`` with one read task per unit).  Only staging (G1) still
+needs it, to write the polled batch with ``Dataset.write_parquet``.
 """
 
 from __future__ import annotations
 
-import functools
-import os
+from dataclasses import dataclass
 
 import pyarrow as pa
-from ray.data import Datasource, ReadTask
-from ray.data.block import BlockMetadata
-
-#: fast path only when the whole read fits comfortably in a few blocks
-SMALL_READ_TOTAL_BYTES = 64 << 20
-#: ... and no single file outgrows a sane object-store block
-SMALL_READ_FILE_BYTES = 32 << 20
 
 
-def _read_files(paths: list[str], schema, columns, filter_expr, fs) -> list[pa.Table]:
-    import pyarrow.dataset as pads
+@dataclass(frozen=True)
+class ReadUnit:
+    """One task's input; see the module docstring."""
 
-    ds = pads.dataset(paths, schema=schema, format="parquet", filesystem=fs)
-    return [ds.to_table(columns=columns, filter=filter_expr)]
+    #: ``(path, row groups)``; ``None`` reads the whole file
+    pieces: tuple[tuple[str, tuple[int, ...] | None], ...]
+    schema: pa.Schema
+    columns: tuple[str, ...] | None
+    filter: object  # a pyarrow compute Expression, or None
+    filesystem: object
+    #: footer row count, BEFORE the row filter
+    rows: int
+    #: decoded (uncompressed) bytes, from the footers
+    nbytes: int
 
+    @property
+    def paths(self) -> list[str]:
+        return [p for p, _ in self.pieces]
 
-class _ParquetFiles(Datasource):
-    """One read task per group of files; see the module docstring."""
+    def read(self) -> pa.Table:
+        import pyarrow.dataset as pads
 
-    def __init__(self, groups, schema, columns, filter_expr, filesystem):
-        self._groups = groups  # [(paths, footer rows, decoded bytes)]
-        self._schema = schema
-        self._columns = columns
-        self._filter = filter_expr
-        self._fs = filesystem
-        # unknown when a projected column is missing (the read raises)
-        missing = columns is not None and not set(columns) <= set(schema.names)
-        self._out_schema = None if missing else pa.schema(
-            [schema.field(c) for c in columns or schema.names]
-        )
-
-    def get_name(self) -> str:
-        return "ParquetFiles"
-
-    def estimate_inmemory_data_size(self) -> int | None:
-        return sum(size for _, _, size in self._groups) or None
-
-    def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
-        return [
-            ReadTask(
-                functools.partial(
-                    _read_files, paths, self._schema, self._columns, self._filter, self._fs
-                ),
-                BlockMetadata(
-                    # the footers count rows BEFORE the row filter
-                    num_rows=rows if self._filter is None else None,
-                    size_bytes=size,
-                    input_files=list(paths),
-                    exec_stats=None,
-                ),
-                schema=self._out_schema,
-            )
-            for paths, rows, size in self._groups
+        fmt = pads.ParquetFileFormat()
+        frags = [
+            fmt.make_fragment(p, filesystem=self.filesystem, row_groups=rgs)
+            for p, rgs in self.pieces
         ]
+        ds = pads.FileSystemDataset(frags, self.schema, fmt, self.filesystem)
+        cols = list(self.columns) if self.columns is not None else None
+        return ds.to_table(columns=cols, filter=self.filter)
 
 
-def _file_sizes(paths, filesystem) -> list[int] | None:
-    """Byte sizes per path, or None when any size is unknowable (then
-    the caller must take the streaming path)."""
-    sizes = []
+def _unified_schema(mds) -> pa.Schema:
+    schemas = [md.schema.to_arrow_schema() for md in mds]
     try:
-        if filesystem is not None:
-            for info in filesystem.get_file_info(list(paths)):
-                if info.size is None:
-                    return None
-                sizes.append(info.size)
-        else:
-            for p in paths:
-                sizes.append(os.path.getsize(p[7:] if p.startswith("file://") else p))
-    except OSError:
-        return None
-    return sizes
-
-
-def is_small_read(paths, *, filesystem=None, file_sizes=None) -> bool:
-    """Whether *paths* (FILES, not directories) take the fast path."""
-    sizes = file_sizes if file_sizes is not None else _file_sizes(paths, filesystem)
-    return bool(
-        paths
-        and sizes is not None
-        and len(sizes) == len(paths)
-        and sum(sizes) <= SMALL_READ_TOTAL_BYTES
-        and max(sizes) <= SMALL_READ_FILE_BYTES
-    )
-
-
-def read_parquet_files(
-    paths: list[str],
-    *,
-    filesystem=None,
-    columns: list[str] | None = None,
-    filter=None,
-    min_rows_per_block: int | None = None,
-):
-    """The lazy fast-path read of *paths* (see module docstring)."""
-    import pyarrow.dataset as pads
-    import ray.data
-
-    frags = list(
-        pads.dataset(list(paths), format="parquet", filesystem=filesystem).get_fragments()
-    )
-    try:
-        unified = pa.unify_schemas([f.physical_schema for f in frags])
+        return pa.unify_schemas(schemas)
     except pa.ArrowInvalid:
-        unified = pads.dataset(list(paths), format="parquet", filesystem=filesystem).schema
-    groups: list[tuple[list[str], int, int]] = []
-    cur: list[str] = []
-    rows = size = 0
-    for path, frag in zip(paths, frags):
-        md = frag.metadata  # cached by the physical_schema read above
-        cur.append(path)
-        rows += md.num_rows
-        size += sum(md.row_group(i).total_byte_size for i in range(md.num_row_groups))
-        if not min_rows_per_block or rows >= min_rows_per_block:
-            groups.append((cur, rows, size))
-            cur, rows, size = [], 0, 0
-    if cur:
-        groups.append((cur, rows, size))
-    return ray.data.read_datasource(
-        _ParquetFiles(groups, unified, columns, filter, filesystem),
-        override_num_blocks=len(groups),
-    )
+        return schemas[0]  # incompatible types: read_parquet's first-file rule
 
 
-def read_parquet_auto(
+def plan_units(
     paths: list[str],
     *,
     filesystem=None,
     columns: list[str] | None = None,
     filter=None,
-    file_sizes: list[int] | None = None,
-    **read_parquet_kwargs,
-):
-    """:func:`read_parquet_files` when :func:`is_small_read`, else
-    ``ray.data.read_parquet``.  Extra kwargs go to ``read_parquet`` on
-    the streaming path (and disable the fast path if they would change
-    semantics the fast path can't honor)."""
-    import ray.data
+    min_rows: int = 1,
+    target_units: int | None = None,
+) -> list[ReadUnit]:
+    """Plan the read of *paths* (files, in order) into units from their
+    footers; see the module docstring."""
+    import pyarrow.fs as pafs
+    import pyarrow.parquet as pq
 
-    if not set(read_parquet_kwargs) - {"override_num_blocks"} and is_small_read(
-        paths, filesystem=filesystem, file_sizes=file_sizes
-    ):
-        return read_parquet_files(paths, filesystem=filesystem, columns=columns, filter=filter)
-    return ray.data.read_parquet(
-        list(paths),
-        filesystem=filesystem,
-        columns=columns,
-        filter=filter,
-        **read_parquet_kwargs,
-    )
+    if not paths:
+        return []
+    if filesystem is None:
+        filesystem = pafs.LocalFileSystem()
+        paths = [p[7:] if p.startswith("file://") else p for p in paths]
+    mds = [pq.read_metadata(p, filesystem=filesystem) for p in paths]
+    schema = _unified_schema(mds)
+    cols = tuple(columns) if columns is not None else None
+    min_rows = max(int(min_rows or 1), 1)
+
+    def unit(pieces, rows, nbytes) -> ReadUnit:
+        return ReadUnit(tuple(pieces), schema, cols, filter, filesystem, rows, nbytes)
+
+    # (path, row group, rows, decoded bytes) in read order
+    rgs = [
+        (p, i, md.row_group(i).num_rows, md.row_group(i).total_byte_size)
+        for p, md in zip(paths, mds)
+        for i in range(md.num_row_groups)
+    ]
+    total = sum(r for _, _, r, _ in rgs)
+    want = min(target_units or 0, total // min_rows)
+
+    units: list[ReadUnit] = []
+    pieces: list = []
+    rows = nbytes = 0
+    for p, md in zip(paths, mds):
+        pieces.append((p, None))
+        rows += md.num_rows
+        nbytes += sum(md.row_group(i).total_byte_size for i in range(md.num_row_groups))
+        if rows >= min_rows:
+            units.append(unit(pieces, rows, nbytes))
+            pieces, rows, nbytes = [], 0, 0
+    if pieces:
+        units.append(unit(pieces, rows, nbytes))
+    if len(units) >= want:
+        return units
+
+    # too few whole-file units to fill the CPUs: contiguous row-group runs
+    # that close at the k-th of `want` equal row boundaries, each at least
+    # min_rows
+    runs: list[tuple[list, int, int]] = []
+    cur: dict[str, list[int]] = {}
+    rows = nbytes = seen = 0
+    for p, i, r, b in rgs:
+        cur.setdefault(p, []).append(i)
+        rows += r
+        nbytes += b
+        seen += r
+        if rows >= min_rows and seen * want >= total * (len(runs) + 1):
+            runs.append((list(cur.items()), rows, nbytes))
+            cur, rows, nbytes = {}, 0, 0
+    if cur:
+        if runs and rows < min_rows:
+            # a short tail joins the previous run (same file order)
+            prev, prows, pbytes = runs.pop()
+            merged: dict[str, list[int]] = {}
+            for p, ids in prev + list(cur.items()):
+                merged.setdefault(p, []).extend(ids)
+            runs.append((list(merged.items()), prows + rows, pbytes + nbytes))
+        else:
+            runs.append((list(cur.items()), rows, nbytes))
+    nrg = {p: md.num_row_groups for p, md in zip(paths, mds)}
+    return [
+        unit(
+            [(p, None if len(ids) == nrg[p] else tuple(ids)) for p, ids in run],
+            rows,
+            nbytes,
+        )
+        for run, rows, nbytes in runs
+    ]
+
+
+def units_dataset(units: list[ReadUnit]):
+    """A lazy ``ray.data.Dataset`` of *units*: a ``Datasource`` with one
+    read task per unit and no split factor, so a downstream
+    ``map_batches(batch_size=None)`` fuses with the read."""
+    import ray.data
+    from ray.data import Datasource, ReadTask
+    from ray.data.block import BlockMetadata
+
+    class ReadUnits(Datasource):
+        def estimate_inmemory_data_size(self) -> int | None:
+            return sum(u.nbytes for u in units) or None
+
+        def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
+            return [
+                ReadTask(
+                    lambda u=u: [u.read()],
+                    BlockMetadata(
+                        # the footers count rows BEFORE the row filter
+                        num_rows=u.rows if u.filter is None else None,
+                        size_bytes=u.nbytes,
+                        input_files=u.paths,
+                        exec_stats=None,
+                    ),
+                )
+                for u in units
+            ]
+
+    return ray.data.read_datasource(ReadUnits(), override_num_blocks=max(len(units), 1))

@@ -4,7 +4,7 @@
 ``MsSqlStreamingSource`` / ``MsSqlStreamingDataProvider``
 (``main.scala:36,63-67``; ``docs/crd.md:83-89,196-203``): every poll it
 selects the change-log parquet segments covering versions
-``(watermark, hi]`` and returns them as a lazy ``ray.data.Dataset``
+``(watermark, hi]`` and plans them into read units (``pqio.ReadUnit``)
 with the version-range predicate and the projection pushed into the
 read — pruned columns and row groups never leave storage.  The
 predicate is dropped when every chosen segment's footer statistics put
@@ -15,7 +15,7 @@ The feed is a directory of version-range segments
 reproduces the reference's knobs: ``changeCaptureInterval`` ± seeded
 jitter (``changeCaptureJitterVariance/Seed``) and an optional
 token-bucket on admitted events (``throughput.advisedRate`` — mostly
-subsumed by Ray Data's backpressure, kept for replay-rate parity,
+subsumed by running at most one read unit per CPU, kept for replay-rate parity,
 SURVEY.md §2.7 F3).
 """
 
@@ -28,11 +28,8 @@ import time
 import numpy as np
 import pyarrow.compute as pc
 
+from arcane_stream_sqlserver_change_tracking_ray.pqio import plan_units
 from arcane_stream_sqlserver_change_tracking_ray.types import VERSION_COL
-
-#: don't split a poll finer than this many rows per read block — below
-#: it, per-task scheduling (~3 ms) outweighs the parallelism gained
-MIN_ROWS_PER_BLOCK = 16_384
 
 _SEG_RE = re.compile(r"^v(\d{12})-(\d{12})\.parquet$")
 
@@ -59,8 +56,8 @@ class ChangeFeedTailer:
     """Stateful tailer: cursor = last emitted version.
 
     Driver-side by design — it only *plans* reads (file selection +
-    predicate); all data movement happens inside the returned Dataset on
-    the cluster.  This mirrors the reference app being a tiny
+    predicate + read units); all data movement happens in the writers'
+    tasks on the cluster.  This mirrors the reference app being a tiny
     coordinator while the heavy lifting runs elsewhere (SURVEY.md §3.1).
     """
 
@@ -106,17 +103,11 @@ class ChangeFeedTailer:
         #: from the parquet footer (cached so a poll never re-reads
         #: footers it has seen); see ``_footer_int_range``
         self._seg_meta: dict[str, tuple[int, int, tuple[int, int] | None]] = {}
-        #: split the poll's read into at least this many blocks so the
-        #: fused read→transform stage can use every CPU even when the
-        #: version range spans few segment files (the generator writes
-        #: small row groups precisely so reads can split)
-        self.target_blocks: int | None = None
-        #: ``batch_size`` for the map stages over the LAST poll's dataset:
-        #: None after a small per-file read (each block is one task's
-        #: worth and a batch size would stop the read fusing into the
-        #: transform and writer, see pqio), ``fetch_size`` after a
-        #: streaming read (bundles the read's blocks into larger tasks)
-        self.map_batch_size: int | None = fetch_size
+        #: split a poll into up to this many read units (row-group runs
+        #: of at least ``fetch_size`` rows) when whole segments give
+        #: fewer, so every CPU gets a task even when the version range
+        #: spans few segment files
+        self.target_units: int | None = None
 
     # ------------------------------------------------------------------
     def next_interval(self) -> float:
@@ -263,8 +254,12 @@ class ChangeFeedTailer:
         return max(total, 16)
 
     def poll(self, planned: tuple[list[str], int] | None = None):
-        """Return ``(dataset, hi_version)`` for versions
-        ``(watermark, hi]`` or None.  Does NOT advance the cursor — call
+        """Return ``(units, hi_version)`` for versions ``(watermark, hi]``
+        or None.  *units* are the poll's ``pqio.ReadUnit`` s, planned from
+        the segments' footers on the driver (no task runs): one unit per
+        ``fetch_size`` rows of whole segments, split into row-group runs
+        only when that leaves CPUs idle (``target_units``).  Every poll
+        size takes this path.  Does NOT advance the cursor — call
         ``advance(hi)`` only after the cycle commits, so a failed cycle
         re-polls the same range (exactly-once via idempotent replay).
 
@@ -282,8 +277,6 @@ class ChangeFeedTailer:
         read covers EXACTLY the segments the cycle's schema decision was
         made from — re-planning here could pick up a segment that landed
         in between, whose new columns the decided schema would drop."""
-        import ray.data
-
         planned = planned if planned is not None else self.plan()
         if planned is None:
             return None
@@ -294,45 +287,14 @@ class ChangeFeedTailer:
             predicate = (pc.field(VERSION_COL) > self.watermark) & (
                 pc.field(VERSION_COL) <= hi
             )
-        from arcane_stream_sqlserver_change_tracking_ray.pqio import (
-            is_small_read,
-            read_parquet_files,
-        )
-
-        if is_small_read(paths):
-            # small polls (a few fresh segments) skip read_parquet's fixed
-            # planning cost and fuse into the cycle's write tasks; files
-            # smaller than fetch_size share a task, as the transform's
-            # fetch_size bundling grouped them on the streaming path
-            self.map_batch_size = None
-            ds = read_parquet_files(
-                paths,
-                columns=self.columns,
-                filter=predicate,
-                min_rows_per_block=self.fetch_size,
-            )
-            return ds, hi
-        self.map_batch_size = self.fetch_size
-        kwargs = {}
-        if self.target_blocks:
-            blocks = self.target_blocks
-            # Cap by the planned row count (free — footers are already
-            # cached for the memoryBound shaper): a tiny poll shattered
-            # into 4×CPU blocks pays ~3 ms scheduling per task for rows
-            # that fit in one, which dominates small-cycle wall time.
-            # At production cycle sizes rows/MIN_ROWS_PER_BLOCK exceeds
-            # 4×CPUs and this cap never binds.
-            total_rows = sum(self._segment_meta(p)[0] for p in paths)
-            if total_rows > 0:
-                blocks = min(blocks, -(-total_rows // MIN_ROWS_PER_BLOCK))
-            kwargs["override_num_blocks"] = max(len(paths), blocks)
-        ds = ray.data.read_parquet(
+        units = plan_units(
             paths,
             columns=self.columns,
             filter=predicate,
-            **kwargs,
+            min_rows=self.fetch_size,
+            target_units=self.target_units,
         )
-        return ds, hi
+        return units, hi
 
     def advance(self, hi: int) -> None:
         if hi < self.watermark:

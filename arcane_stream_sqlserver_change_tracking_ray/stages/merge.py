@@ -5,9 +5,9 @@ Reproduces the reference's ``MergeBatchProcessor`` semantics
 254-258``): per ``arcane_merge_key`` take the event with max
 ``sys_change_version``; op ``D`` deletes the target row; otherwise
 upsert all columns.  The reference delegates this to a Trino SQL
-``MERGE``; here it is expressed Ray-Data-first:
+``MERGE``; here it runs in one plain Ray task per read unit (``run_units``):
 
-1. **pre-combine**: within-batch LWW inside each ``map_batches`` task
+1. **pre-combine**: within-batch LWW inside each unit's task
    keeps only the max-version event per key per batch — at
    10^10-event scale this collapses hot-key event storms *before* any
    data moves (SURVEY.md §4.2 "skew"),
@@ -1001,39 +1001,54 @@ def fold_stats_into_manifest(manifest, stats: list[dict], cycle_id: str) -> dict
 
 
 # ---------------------------------------------------------------------------
+# one plain Ray task per read unit
+# ---------------------------------------------------------------------------
+def _unit_task(unit, transform, fn, index: int):
+    """Read one unit (or take the Dataset block Ray resolved), apply the
+    caller's transform, and hand the batch to the writer's *fn*."""
+    batch = unit if isinstance(unit, pa.Table) else unit.read()
+    if transform is not None:
+        batch = transform(batch)
+    return fn(batch, index)
+
+
+_UNIT_TASK = None
+
+
+def run_units(units, transform, fn) -> list:
+    """``fn(transform(unit.read()), index)`` in one Ray task per unit;
+    returns the results in unit order.
+
+    *units* is a list of ``pqio.ReadUnit`` or a ``ray.data.Dataset``.
+    A Dataset is adapted here and only here, through
+    ``Dataset.to_arrow_refs()``: each block ref is a unit that the task
+    receives as its (resolved) argument.  A task takes one CPU, so at
+    most one runs per CPU, and it returns only its writer's stats rows,
+    so decoded data never enters the object store and the cycle needs
+    no Ray Data executor."""
+    import ray
+
+    global _UNIT_TASK
+    if hasattr(units, "to_arrow_refs"):  # a ray.data.Dataset
+        units = units.to_arrow_refs()
+    if _UNIT_TASK is None:
+        _UNIT_TASK = ray.remote(_unit_task)
+    return ray.get([_UNIT_TASK.remote(u, transform, fn, i) for i, u in enumerate(units)])
+
+
+# ---------------------------------------------------------------------------
 # the mor writer: direct per-task delta writes
 # ---------------------------------------------------------------------------
-_DIRECT_STATS_SCHEMA = pa.schema(
-    [
-        (PID_COL, pa.int64()),
-        ("rows", pa.int64()),
-        ("upserts", pa.int64()),
-        ("deletes", pa.int64()),
-        ("changes_in", pa.int64()),
-        #: rows the adaptive pre-combine collapsed away BEFORE routing
-        #: (attributed to the task's first stats row; cycle accounting +
-        #: storm-defusal telemetry — NOT part of any partition's load)
-        ("combined_away", pa.int64()),
-        ("bytes", pa.int64()),
-        ("files_json", pa.string()),
-        ("mode", pa.string()),
-        #: whole-file write-time bounds (attributed to the first pid row;
-        #: one physical file per task, shared across its pid slices)
-        ("file_stats_json", pa.string()),
-    ]
-)
-
-
 def apply_change_batch_direct(
-    changes_ds,
+    units,
     *,
+    transform=None,
     target_root: str,
     cycle_id: str,
     schema: pa.Schema,
     num_partitions: int,
     compression: str = "zstd",
     sorted_by: tuple[str, ...] = (),
-    batch_size: int | None = None,
     key_col: str = MERGE_KEY_COL,
     fsync: bool = True,
     bloom_columns: tuple[str, ...] = (),
@@ -1042,10 +1057,14 @@ def apply_change_batch_direct(
     precombine_threshold: float = PRECOMBINE_DUP_THRESHOLD,
     bounds_cols: tuple[str, ...] = (),
 ) -> list[dict]:
-    """Merge-on-read WITHOUT an exchange: every push task writes its own
-    pid-sorted delta parquet, row groups aligned to partition boundaries,
-    and the manifest records each partition's slice as
-    ``<file>#rg=<a>-<b>`` (see ``split_entry``).
+    """Merge-on-read WITHOUT an exchange: one task per read unit
+    (``run_units``) reads it, applies *transform* (the caller's
+    per-batch transform, or None), pre-combines, routes and writes its
+    own pid-sorted delta parquet, row groups aligned to partition
+    boundaries; the manifest records each partition's slice as
+    ``<file>#rg=<a>-<b>`` (see ``split_entry``).  So one delta file per
+    unit, and the tasks return only their stats rows (one per pid).
+    *units* may also be a ``ray.data.Dataset`` (one unit per block).
 
     *bounds_cols* (the partition_by source columns): whole-file
     write-time bounds are recorded for manifest.file_stats so the
@@ -1061,7 +1080,7 @@ def apply_change_batch_direct(
     copy chain is the non-scaling term of the cycle (BENCH/BASELINE.md
     round-2 profile: the push stage stayed flat from 2→8 CPUs while the
     owner flush scaled).
-    Direct mode keeps the data inside the map task: read → transform →
+    Direct mode keeps the data inside the unit's task: read → transform →
     route (one argsort + one gather) → zstd to disk.  There is no
     barrier besides the tiny per-task stats collection, and no state —
     tasks are fully elastic across a cluster.
@@ -1076,9 +1095,9 @@ def apply_change_batch_direct(
     """
     P = num_partitions
 
-    def write_task_delta(batch: pa.Table) -> pa.Table:
+    def write_task_delta(batch: pa.Table, _index: int) -> list[dict]:
         if batch.num_rows == 0:
-            return _DIRECT_STATS_SCHEMA.empty_table()
+            return []
         changes_in_total = batch.num_rows
         keep, h = precombine_and_hash(batch, key_col, hash_algo, precombine_threshold)
         combined_away_total = changes_in_total - len(keep)
@@ -1114,13 +1133,16 @@ def apply_change_batch_direct(
                         "upserts": sl.num_rows - deletes,
                         "deletes": deletes,
                         "changes_in": sl.num_rows,
-                        # task-level combine remainder is attributed to the
-                        # first pid row so the cycle's 'every arriving row
-                        # is accounted' invariant holds under pre-combine
+                        # rows the pre-combine collapsed away BEFORE routing:
+                        # attributed to the task's first pid row so the
+                        # cycle's 'every arriving row is accounted'
+                        # invariant holds; not part of any partition's load
                         "combined_away": combined_away_total if slice_i == 0 else 0,
                         "bytes": 0,  # filled from row-group metadata below
                         "files_json": json.dumps([f"{rel}#rg={first_rg}-{rg - 1}"]),
                         "mode": "mor",
+                        # whole-file write-time bounds (first pid row only;
+                        # one physical file per task, shared by its slices)
                         "file_stats_json": "",
                     }
                 )
@@ -1153,14 +1175,11 @@ def apply_change_batch_direct(
                 fb = column_bounds(b, bounds_cols)
                 if fb:
                     rows_stat[0]["file_stats_json"] = json.dumps({rel: fb})
-        return pa.Table.from_pylist(rows_stat, schema=_DIRECT_STATS_SCHEMA)
+        return rows_stat
 
-    # batch_size=None → one delta file per BLOCK: file granularity is then
-    # governed by the read split (4x CPUs, runner.bootstrap), not by a
-    # row-count constant — fewer, larger files at low parallelism
-    return changes_ds.map_batches(
-        write_task_delta, batch_format="pyarrow", batch_size=batch_size
-    ).take_all()
+    # one delta file per unit: file granularity follows the read plan
+    # (fetch_size rows, split to blocks_per_cpu x CPUs; see pqio)
+    return [r for rows in run_units(units, transform, write_task_delta) for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -1201,11 +1220,14 @@ def _make_owner_actor():
             self.max_rows_per_file = max_rows_per_file
             self.fsync = fsync
             self.bloom_columns = tuple(bloom_columns)
-            self.buf: dict[int, list[pa.Table]] = {}
+            #: pid -> {unit index: that unit's slice}
+            self.buf: dict[int, dict[int, pa.Table]] = {}
 
-        def add(self, slices: list[tuple[int, pa.Table]]) -> int:
+        def add(self, unit_index: int, slices: list[tuple[int, pa.Table]]) -> int:
+            """Buffer one unit's slices.  Keyed by unit index, so a
+            retried push replaces its slices instead of doubling them."""
             for pid, t in slices:
-                self.buf.setdefault(pid, []).append(t)
+                self.buf.setdefault(pid, {})[unit_index] = t
             return sum(t.num_rows for _, t in slices)
 
         def reset(self) -> None:
@@ -1230,10 +1252,12 @@ def _make_owner_actor():
             # captured at definition time (cast_to_schema is imported at the
             # top of this module).
             out: list[dict] = []
-            for pid, tables in sorted(self.buf.items()):
+            for pid, by_unit in sorted(self.buf.items()):
+                # unit order, not push arrival order: the same feed writes
+                # the same bytes
                 changes = cast_to_schema(pa.concat_tables(
                     [cast_to_schema(ensure_merge_key_alias(t, key_col), schema)
-                     for t in tables]
+                     for _, t in sorted(by_unit.items())]
                 ), schema)
                 n_changes = changes.num_rows
                 existing = []
@@ -1286,12 +1310,14 @@ class ActorMergePool:
     """Persistent pool of partition-owner actors, one per StreamRunner —
     the copy-on-write writer.
 
-    Per cycle:  ``map_batches(push)`` streams the change batches — each
-    task LWW-combines its batch, routes rows to pids with the stable
-    hash, slices ONCE (single int64 sort + one payload gather) and ships
-    each owner its slices; then ``flush`` merges + rewrites the touched
-    partitions in parallel across owners.  No all-to-all operator, no
-    sort barrier: the exchange is point-to-point object transfers.
+    Per cycle:  one push task per read unit (``run_units``) reads the
+    unit, applies the caller's transform, LWW-combines the batch, routes
+    rows to pids with the stable hash, slices ONCE (single int64 sort +
+    one payload gather) and ships each owner its slices, tagged with the
+    unit index; then ``flush`` merges each pid's slices in unit order and
+    rewrites the touched partitions in parallel across owners.  No
+    all-to-all operator, no sort barrier: the exchange is point-to-point
+    object transfers.  *units* may also be a ``ray.data.Dataset``.
 
     Pass ``partition_files={}`` to write a fresh base layout that
     ignores the current target (overwrite backfill, ephemeral tables).
@@ -1321,13 +1347,13 @@ class ActorMergePool:
 
     def apply_change_batch(
         self,
-        changes_ds,
+        units,
         *,
+        transform=None,
         cycle_id: str,
         partition_files: dict[int, list[str]],
         schema: pa.Schema,
         sorted_by: tuple[str, ...] = (),
-        batch_size: int = 131072,
         key_col: str = MERGE_KEY_COL,
         precombine_threshold: float = PRECOMBINE_DUP_THRESHOLD,
         cluster_by: tuple = (),
@@ -1343,10 +1369,10 @@ class ActorMergePool:
 
         hash_algo = self.hash_algo
 
-        def push(batch: pa.Table) -> pa.Table:
+        def push(batch: pa.Table, unit_index: int) -> dict:
             rows_in = batch.num_rows
             if rows_in == 0:
-                return pa.table({"rows_in": [0], "rows_kept": [0]})
+                return {"rows_in": 0, "rows_kept": 0}
             # hash once; combine only when the dup rate warrants it (M2)
             keep, h = precombine_and_hash(batch, key_col, hash_algo, precombine_threshold)
             pid = (h % np.uint64(P)).astype(np.int64)
@@ -1360,15 +1386,10 @@ class ActorMergePool:
                 per_actor.setdefault(p % A, []).append((p, b.slice(s, e - s)))
             # blocking gets provide backpressure: a task finishes only
             # after its owners ingested the slices
-            ray.get([actors[a].add.remote(sl) for a, sl in per_actor.items()])
-            return pa.table({"rows_in": [rows_in], "rows_kept": [len(keep)]})
+            ray.get([actors[a].add.remote(unit_index, sl) for a, sl in per_actor.items()])
+            return {"rows_in": rows_in, "rows_kept": len(keep)}
 
-        # consume with take_all: the per-task result is ONE tiny row, and
-        # a driver-side sum avoids scheduling an AllToAll aggregate op
-        # (a fixed ~0.2-0.5s shuffle-barrier tax per cycle)
-        pushed = changes_ds.map_batches(
-            push, batch_format="pyarrow", batch_size=batch_size
-        ).take_all()
+        pushed = run_units(units, transform, push)
         flush_refs = [
             a.flush.remote(
                 cycle_id, partition_files, schema, sorted_by, key_col,

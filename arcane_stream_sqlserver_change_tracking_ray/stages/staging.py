@@ -50,10 +50,12 @@ def stage_change_batch(
     max_rows_per_file: int = 10_000,
     fmt: str = "parquet",
 ):
-    """Write the polled batch to a unique staging dir; returns
-    ``(staged_dataset, staging_dir)`` where *staged_dataset* re-reads the
-    staged files (the merge then consumes durable input, like the
-    reference merging from the staging table).  *staging_dir* is
+    """Write the polled batch *ds* (a ``ray.data.Dataset``) to a unique
+    staging dir; returns ``(staged, staging_dir)`` where *staged*
+    re-reads the staged files (the merge then consumes durable input,
+    like the reference merging from the staging table): read units
+    (``pqio.plan_units``) for parquet, a ``ray.data.Dataset`` for orc and
+    avro, which the writers adapt one block per task.  *staging_dir* is
     ``"<staging_root>|<name>"`` — an opaque token ``dispose_staging``
     resolves back through the lake filesystem (the staging root may be
     an object store).
@@ -70,17 +72,16 @@ def stage_change_batch(
     name = f"{table_prefix}{cycle_id}-{uuid.uuid4().hex[:8]}"
     fs.makedirs(name)
     if fmt == "parquet":
-        from arcane_stream_sqlserver_change_tracking_ray.pqio import read_parquet_auto
+        from arcane_stream_sqlserver_change_tracking_ray.pqio import plan_units
 
         ds.write_parquet(fs.full(name), filesystem=fs.pafs,
                          max_rows_per_file=max_rows_per_file)
-        # re-read the exact files just written: small cycles skip
-        # read_parquet's fixed planning cost (see pqio)
+        # re-read the exact files just written, one unit per file
         staged_files = [
             f"{fs.full(name)}/{f}" for f in sorted(fs.listdir(name))
             if f.endswith(".parquet")
         ]
-        staged = read_parquet_auto(staged_files, filesystem=fs.pafs)
+        staged = plan_units(staged_files, filesystem=fs.pafs)
     elif fmt == "orc":
         root = staging_root  # capture the string, workers rebuild the facade
 

@@ -79,12 +79,25 @@ def cdc_lww_upsert(sf_dir: str) -> pa.Table:
     """Full merge path (M1): hash-partitioned copy-on-write LWW upsert of
     the events feed into a fresh target table through the owner-actor
     pool (the cow writer), then read it back."""
+    import ray
+
+    from arcane_stream_sqlserver_change_tracking_ray.config import (
+        SourceSettings,
+        ThroughputSettings,
+    )
+    from arcane_stream_sqlserver_change_tracking_ray.pqio import plan_units
     from arcane_stream_sqlserver_change_tracking_ray.stages.merge import ActorMergePool
     from arcane_stream_sqlserver_change_tracking_ray.functions.transforms import cast_to_schema
     import pyarrow.parquet as pq
     import os
 
-    ds = _read(sf_dir, "events").map_batches(_EventsAsChanges(), batch_format="pyarrow")
+    # one push task per read unit, planned as a poll plans its segments
+    cpus = int(ray.cluster_resources().get("CPU", 1))
+    units = plan_units(
+        [f"{sf_dir}/events.parquet"],
+        min_rows=SourceSettings().fetch_size,
+        target_units=ThroughputSettings().blocks_per_cpu * cpus,
+    )
     schema = _events_change_schema(sf_dir)
     tmp = tempfile.mkdtemp(prefix="cdc_lww_")
     try:
@@ -92,7 +105,8 @@ def cdc_lww_upsert(sf_dir: str) -> pa.Table:
         pool = ActorMergePool(target_root=tmp, num_partitions=8, hash_algo="polars")
         try:
             stats = pool.apply_change_batch(
-                ds, cycle_id="q", partition_files={}, schema=schema
+                units, transform=_EventsAsChanges(), cycle_id="q",
+                partition_files={}, schema=schema,
             )
         finally:
             pool.shutdown()

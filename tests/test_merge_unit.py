@@ -171,6 +171,8 @@ def test_direct_mode_accounts_precombined_rows(tmp_path, merge_mode):
             "v": pa.array(np.arange(n, dtype=np.float64)),
         }
     )
+    # a Dataset goes through the writers' one adapter (to_arrow_refs): one
+    # task per block, as a read unit gets
     ds = ray.data.from_arrow(t).repartition(2)
     if merge_mode == "mor":
         stats = apply_change_batch_direct(

@@ -1,6 +1,6 @@
-"""pqio.read_parquet_auto: the small-read fast path against
-``ray.data.read_parquet``, its laziness, and one fused write task per
-change-log segment."""
+"""pqio read units: planned from footers, read against the unified
+schema like ``ray.data.read_parquet``, planning launches no task, and a
+cycle runs one plain Ray task per unit (no Ray Data executor)."""
 
 import os
 
@@ -21,7 +21,7 @@ from arcane_stream_sqlserver_change_tracking_ray.pipelines.runner import (
     StreamRunner,
     read_target_table,
 )
-from arcane_stream_sqlserver_change_tracking_ray.pqio import read_parquet_auto
+from arcane_stream_sqlserver_change_tracking_ray.pqio import plan_units
 from arcane_stream_sqlserver_change_tracking_ray.state.manifest import (
     ManifestLog,
     prepare_watermark,
@@ -30,7 +30,8 @@ from tests.util import assert_tables_equal
 
 
 def _drifting_files(d) -> list[str]:
-    """Three segments; the third gains a column (additive migration)."""
+    """Three segments of four row groups; the third gains a column
+    (additive migration)."""
     paths = []
     for i in range(3):
         n = 500
@@ -55,28 +56,60 @@ def _table(ds) -> pa.Table:
     )
 
 
-@pytest.mark.parametrize("columns", [None, ["v", "k"]], ids=["all", "projected"])
+def _read_units(units) -> pa.Table:
+    return pa.concat_tables([u.read() for u in units]).sort_by([("v", "ascending")])
+
+
+@pytest.mark.parametrize("columns", [None, ["v", "k", "title"]], ids=["all", "projected"])
 def test_fast_path_matches_read_parquet_under_drift(tmp_path, columns):
+    """A read planned into row-group runs that cross files reads as
+    ``read_parquet`` does with the unified schema: the segments before
+    the migration hold nulls in the new column, projected or not.
+    (``read_parquet`` itself raises on a projected column missing from
+    the first file, so the expected table projects after reading.)"""
     paths = _drifting_files(str(tmp_path))
     flt = (pc.field("v") > 250) & (pc.field("v") <= 1300)
-    got = _table(read_parquet_auto(paths, columns=columns, filter=flt))
-    want = _table(ray.data.read_parquet(paths, columns=columns, filter=flt))
+    units = plan_units(paths, columns=columns, filter=flt, min_rows=200, target_units=5)
+    assert len(units) >= 4  # more units than files: row-group runs
+    assert any(rgs is not None for u in units for _, rgs in u.pieces)
+    assert any(len(u.pieces) > 1 for u in units)  # a run crosses a file boundary
+    assert sum(u.rows for u in units) == 1500
+    got = _read_units(units)
+    want = _table(ray.data.read_parquet(paths, filter=flt))
+    if columns is not None:
+        want = want.select(columns)
     assert got.equals(want)
     assert got.num_rows == 1050
-    if columns is None:
-        # the segments before the migration read the new column as nulls
-        assert got.column_names == ["k", "v", "x", "title"]
-        assert got.filter(pc.field("v") < 1000)["title"].null_count == 749
-    else:
-        assert got.column_names == columns
+    assert got.filter(pc.field("v") < 1000)["title"].null_count == 749
+    assert got.column_names == (columns or ["k", "v", "x", "title"])
 
 
-def test_fast_path_launches_no_task(tmp_path, monkeypatch):
-    """Building the dataset reads footers only: no remote function runs
-    until a consumer executes it."""
+def test_whole_files_share_a_unit_up_to_min_rows(tmp_path):
+    """Whole files bundle until a unit reaches min_rows (the last may be
+    shorter); no split while that already gives target_units units, and
+    split runs never fall below min_rows."""
+    paths = _drifting_files(str(tmp_path))
+    units = plan_units(paths, min_rows=800)
+    assert [u.paths for u in units] == [paths[:2], paths[2:]]
+    assert all(rgs is None for u in units for _, rgs in u.pieces)
+    assert len(plan_units(paths, min_rows=500, target_units=3)) == 3
+    # 1500 rows at min_rows=300 allow 5 units, however many CPUs; runs
+    # close at >= 300 rows, so 4 of them
+    split = plan_units(paths, min_rows=300, target_units=8)
+    assert [u.rows for u in split] == [384, 372, 372, 372]
+    assert sum(_read_units([u]).num_rows for u in split) == 1500
+
+
+def test_planning_a_poll_launches_no_task(tmp_path, monkeypatch):
+    """A poll reads footers only, even when it splits segments into
+    row-group runs: no remote function runs until a writer reads the
+    units."""
     from ray.remote_function import RemoteFunction
 
-    paths = _drifting_files(str(tmp_path))
+    from arcane_stream_sqlserver_change_tracking_ray.sources.ctlog import ChangeFeedTailer
+
+    d = str(tmp_path / "ct")
+    write_ctlog(d, small_spec(row_group_size=50))
     launched = []
     real = RemoteFunction._remote
 
@@ -85,9 +118,12 @@ def test_fast_path_launches_no_task(tmp_path, monkeypatch):
         return real(self, *a, **kw)
 
     monkeypatch.setattr(RemoteFunction, "_remote", spy)
-    ds = read_parquet_auto(paths, columns=["k", "v"], filter=pc.field("v") > 10)
+    t = ChangeFeedTailer(d, 10, rows_per_poll=10**6, fetch_size=150)
+    t.target_units = 8
+    units, hi = t.poll()
     assert launched == []
-    assert ds.count() == 1489  # and it still reads when consumed
+    assert len(units) == 6 and hi == 1000
+    assert sum(u.read().num_rows for u in units) == 990  # and they still read
 
 
 def test_mor_cycle_writes_one_delta_per_large_segment(tmp_lake):
@@ -121,17 +157,18 @@ def test_mor_cycle_writes_one_delta_per_large_segment(tmp_lake):
 # the tailer drops the version filter only when the footers prove it
 # ---------------------------------------------------------------------------
 def _poll_rows(tailer):
-    """``(read filter, per-task footer row counts, rows sorted by version)``
+    """``(read filter, per-unit footer row counts, rows sorted by version)``
     of one poll."""
     from arcane_stream_sqlserver_change_tracking_ray.types import VERSION_COL
 
-    ds, hi = tailer.poll()
-    src = ds._logical_plan.dag._datasource
-    counts = [rt.metadata.num_rows for rt in src.get_read_tasks(1)]
-    rows = pa.concat_tables(
-        ds.iter_batches(batch_format="pyarrow", batch_size=None)
-    ).sort_by([(VERSION_COL, "ascending")])
-    return src._filter, counts, rows, hi
+    units, hi = tailer.poll()
+    flt = units[0].filter
+    assert all(u.filter is flt for u in units)  # one filter for the whole poll
+    counts = [u.rows for u in units]
+    rows = pa.concat_tables([u.read() for u in units]).sort_by(
+        [(VERSION_COL, "ascending")]
+    )
+    return flt, counts, rows, hi
 
 
 def _filtered_read(paths, lo, hi) -> pa.Table:
@@ -207,3 +244,94 @@ def test_poll_without_footer_statistics_keeps_the_filter(tmp_path):
     flt, _, rows, hi = _poll_rows(t)
     assert flt is not None and hi == 1000
     assert rows.equals(_filtered_read(paths, 0, hi))
+
+
+# ---------------------------------------------------------------------------
+# one plain Ray task per unit: no Ray Data executor in the ingest cycle
+# ---------------------------------------------------------------------------
+def _ctx(ct, tgt, merge_mode="mor"):
+    return StreamContext.from_dict(
+        {
+            "source": {"ctlog_dir": ct, "fetch_size": 150},
+            "sink": {"target_root": tgt, "num_partitions": 4, "merge_mode": merge_mode},
+            "throughput": {"rows_per_group": 10**6},
+        }
+    )
+
+
+@pytest.mark.parametrize("merge_mode", ["mor", "cow"])
+def test_cycle_runs_no_ray_data_executor(tmp_lake, monkeypatch, merge_mode):
+    """A cycle reads, transforms and writes in plain Ray tasks: with Ray
+    Data's reads and ``take_all`` refusing to run, one cycle still
+    matches the oracle."""
+    ct, tgt, _ = tmp_lake
+    write_ctlog(ct, small_spec())
+    prepare_watermark(tgt, version=0, num_partitions=4)
+    r = StreamRunner(_ctx(ct, tgt, merge_mode))
+    r.bootstrap()
+
+    def refuse(*a, **kw):
+        raise AssertionError("Ray Data ran inside the ingest cycle")
+
+    try:
+        with monkeypatch.context() as mp:
+            mp.setattr(ray.data, "read_datasource", refuse)
+            mp.setattr(ray.data, "read_parquet", refuse)
+            mp.setattr(ray.data.Dataset, "take_all", refuse)
+            metrics = r.run_cycle()
+    finally:
+        r.close()
+    assert metrics["versions"] == [1, 1000]
+    assert_tables_equal(read_target_table(tgt), expected_final_state(ct))
+
+
+def test_replay_range_reads_across_a_migration(tmp_lake):
+    """``_replay_range`` plans its read like a poll: row-group-run units
+    over segments before and after an additive migration read against
+    the unified schema, and re-applying the range keeps the table equal
+    to the oracle (older rows keep a null title)."""
+    from arcane_stream_sqlserver_change_tracking_ray.sources.ctlog import list_segments
+
+    ct, tgt, _ = tmp_lake
+    write_ctlog(ct, small_spec(add_column_at=500, row_group_size=50))
+    prepare_watermark(tgt, version=0, num_partitions=4)
+    r = StreamRunner(_ctx(ct, tgt))
+    r.run()
+    paths = [p for _, _, p in list_segments(ct)]
+    assert "title" not in pq.read_schema(paths[0]).names
+    units = r._plan(paths)
+    assert any(rgs is not None for u in units for _, rgs in u.pieces)  # runs
+    assert any(len(u.pieces) > 1 for u in units)
+    r._replay_range(0, 1000, "migration")
+    want = expected_final_state(ct)
+    got = read_target_table(tgt)
+    assert_tables_equal(got, want)
+    assert 0 < got["title"].null_count < got.num_rows
+
+
+def test_cow_replays_write_identical_partition_files(tmp_path):
+    """Two CoW replays of one feed write the same bytes per partition:
+    each owner merges its pids' slices in unit order, not in the order
+    concurrent push tasks reach it."""
+    import hashlib
+
+    def replay(name):
+        ct, tgt = str(tmp_path / "ct"), str(tmp_path / name)
+        if not os.path.isdir(ct):
+            write_ctlog(ct, small_spec(n_events=4000, n_keys=300))
+        prepare_watermark(tgt, version=0, num_partitions=4)
+        ctx = _ctx(ct, tgt, "cow")
+        ctx.throughput.rows_per_group = 2000  # two cycles of 10 units
+        assert len(StreamRunner(ctx).run()) == 2
+        m = ManifestLog(tgt).latest()
+        return {
+            pid: [
+                hashlib.sha256(open(os.path.join(tgt, f), "rb").read()).hexdigest()
+                for f in files
+            ]
+            for pid, files in m.partitions.items()
+        }
+
+    first, second = replay("a"), replay("b")
+    assert len(first) == 4
+    assert first == second

@@ -143,12 +143,12 @@ def test_retry_recovers_transient_merge_failure(tmp_lake):
     real_merge = r._merge
     state = {"cycles": 0, "failed": 0}
 
-    def flaky_merge(ds, cycle_id, manifest, schema):
+    def flaky_merge(units, cycle_id, manifest, schema, transform):
         state["cycles"] += 1
         if state["cycles"] % 2 == 1 and state["failed"] < 2:
             state["failed"] += 1
             raise OSError("transient object-store write failure")
-        return real_merge(ds, cycle_id, manifest, schema)
+        return real_merge(units, cycle_id, manifest, schema, transform)
 
     r._merge = flaky_merge
     r.bootstrap()
