@@ -5,8 +5,12 @@
         [--workloads replay_mor,replay_cow] [--seconds 30] [--workdir DIR]
 
 The base revision is exported with ``git archive`` into ``--workdir``
-(default: ``ab/`` under the system temp dir); the change side is this
-checkout as it stands.  For each workload, pair ``i`` runs
+(default: ``ab/`` under the system temp dir); the change side is a copy
+of this checkout as it stands (tracked and untracked files, not the
+ignored ones), made next to it at start.  Both trees sit at paths of
+the same length, so ``perfbench/run.py`` puts Ray's session files in the
+same place for both (its socket-path limit sends a long checkout path
+to Ray's default temp dir).  For each workload, pair ``i`` runs
 ``perfbench/run.py --seed <seed + i>`` once in each tree, alternating
 which side runs first, so a drifting host weighs on both sides alike.
 Every run's metrics are appended to a JSONL file in the work dir;
@@ -26,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -48,6 +53,21 @@ def export(rev: str, workdir: str) -> str:
         if archive.wait() != 0:
             raise SystemExit(f"git archive {sha} failed")
         os.rename(tree + ".tmp", tree)
+    return tree
+
+
+def snapshot(workdir: str) -> str:
+    """A copy of this checkout's working tree under *workdir*, named like
+    an export so both sides' paths have the same length."""
+    tree = os.path.join(workdir, "work-" + time.strftime("%y%m%d%H%M%S"))
+    files = subprocess.check_output(
+        ["git", "ls-files", "-co", "--exclude-standard", "-z"], cwd=ROOT, text=True
+    ).split("\0")
+    for rel in filter(None, files):
+        src = os.path.join(ROOT, rel)
+        if os.path.isfile(src):
+            os.makedirs(os.path.dirname(os.path.join(tree, rel)), exist_ok=True)
+            shutil.copy2(src, os.path.join(tree, rel))
     return tree
 
 
@@ -129,9 +149,10 @@ def main(argv=None) -> int:
     if not args.base_rev:
         ap.error("base_rev is required unless --report is given")
     os.makedirs(args.workdir, exist_ok=True)
-    trees = {"base": export(args.base_rev, args.workdir), "change": ROOT}
+    trees = {"base": export(args.base_rev, args.workdir), "change": snapshot(args.workdir)}
     log = os.path.join(args.workdir, f"ab-{time.strftime('%Y%m%d-%H%M%S')}.jsonl")
-    print(f"base {trees['base']}\nchange {ROOT}\nruns -> {log}", flush=True)
+    print(f"base {trees['base']}\nchange {trees['change']} (copy of {ROOT})\nruns -> {log}",
+          flush=True)
     records = []
     for i in range(args.pairs):
         seed = args.seed + i

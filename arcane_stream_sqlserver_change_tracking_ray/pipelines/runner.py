@@ -20,6 +20,7 @@ only plans, folds tiny stats rows, and commits manifests.
 
 from __future__ import annotations
 
+import functools
 import logging
 import time
 import uuid
@@ -28,7 +29,12 @@ import pyarrow as pa
 
 from arcane_stream_sqlserver_change_tracking_ray.config import StreamContext
 from arcane_stream_sqlserver_change_tracking_ray.functions import transforms as T
-from arcane_stream_sqlserver_change_tracking_ray.pqio import plan_units, units_dataset
+from arcane_stream_sqlserver_change_tracking_ray.pqio import (
+    ReadUnit,
+    cluster_cpus,
+    plan_units,
+    units_dataset,
+)
 from arcane_stream_sqlserver_change_tracking_ray.sources.ctlog import (
     ChangeFeedTailer,
     list_segments,
@@ -233,13 +239,7 @@ class StreamRunner:
     def _target_units(self) -> int | None:
         """``blocks_per_cpu x CPUs``: how many read units a read is split
         into when whole files give fewer (see ``pqio.plan_units``)."""
-        try:
-            import ray
-
-            cpus = int(ray.cluster_resources().get("CPU", 0))
-        except Exception:
-            return None
-        return (self.ctx.throughput.blocks_per_cpu * cpus) or None
+        return (self.ctx.throughput.blocks_per_cpu * cluster_cpus()) or None
 
     def _plan(self, paths: list[str], predicate=None) -> list:
         """Read units for change-log or snapshot *paths*, planned as a
@@ -1081,14 +1081,20 @@ def read_target(
     """The committed snapshot as a lazy ``ray.data.Dataset``; files from
     the manifest only (uncommitted cycle output is invisible).
 
-    Merge-on-read: when pending delta files exist the read fans out one
-    resolve task per partition (base+deltas → LWW → drop tombstones) —
-    the per-partition cost is that partition's data only, and partitions
-    stream through the executor like any other block source.  With no
-    deltas the read is a plain zero-overhead ``read_parquet``.
+    The read is planned on the driver from the manifest alone (file
+    list, ``file_stats`` pruning, schema): no footer, metadata or
+    sampling task.  It runs as ``pqio.units_dataset``, at most one read
+    task per CPU, each streaming one block per unit:
+
+    - With no deltas, a unit is one base file, read against the manifest
+      schema (a file that predates an additive migration reads the new
+      column as nulls, in the manifest's type and position).
+    - Merge-on-read: with pending deltas, a unit is one partition's
+      resolve (base+deltas → LWW → drop tombstones), so its cost is that
+      partition's data only.
 
     ``where`` is an AND-ed ``[[col, op, literal], ...]`` row filter
-    (SQL ``WHERE``).  On the fast no-delta path it is pushed into the
+    (SQL ``WHERE``).  On the no-delta path it is pushed into the
     parquet scan as a ``pyarrow.dataset`` expression, so row-group
     min/max statistics skip non-matching groups at the read (the
     reference gets this from Iceberg metadata + ``sortedBy``).  On the
@@ -1104,6 +1110,7 @@ def read_target(
     from arcane_stream_sqlserver_change_tracking_ray.stages.merge import (
         conjunction_expression,
         filter_conjunction,
+        predicate_columns,
         resolve_partition_table,
         validate_conjunction,
     )
@@ -1129,45 +1136,28 @@ def read_target(
                 by_name = {f.name: f for f in schema}
                 schema = pa.schema([by_name[n] for n in columns if n in by_name])
             return ray.data.from_arrow(schema.empty_table() if schema else pa.table({}))
-        fs = _lakefs(target_root)
-        paths = [fs.full(f) for f in files]
-        schema = m.schema
-        read_cols = columns
-        if where is not None and columns is not None:
-            # the scan filter may reference pruned columns; read the
-            # union, project back after
-            read_cols = sorted(set(columns) | {t[0] for t in where})
-        if read_cols is not None and schema is not None:
-            by_name = {f.name: f for f in schema}
-            # field order must match the column projection order
-            schema = pa.schema([by_name[n] for n in read_cols if n in by_name])
-        ds = ray.data.read_parquet(
-            paths,
-            filesystem=fs.pafs,
-            schema=schema,
-            columns=read_cols,
-            filter=conjunction_expression(where, m.schema) if where is not None else None,
-        )
-        keep = [
-            n
-            for n in (columns or [f.name for f in m.schema])
-            if not drop_meta or n not in meta_cols
-        ]
-        if read_cols != columns or drop_meta:
-            ds = ds.select_columns(keep)
-        return ds
+        import pyarrow.fs as pafs
 
-    # ---- merge-on-read fan-out ----------------------------------------
+        fs = _lakefs(target_root)
+        filesystem = fs.pafs or pafs.LocalFileSystem()
+        keep = tuple(
+            n
+            for n in (columns or m.schema.names)
+            if not drop_meta or n not in meta_cols
+        )
+        # the scan filter may reference columns outside the projection
+        flt = conjunction_expression(where, m.schema) if where is not None else None
+        return units_dataset(
+            [ReadUnit(((fs.full(f), None),), m.schema, keep, flt, filesystem) for f in files]
+        )
+
+    # ---- merge-on-read: one resolve unit per partition ----------------
     full_schema = m.schema
     out_cols = [n for n in (columns or full_schema.names)]
     if drop_meta:
         out_cols = [n for n in out_cols if n not in meta_cols]
     # LWW needs key+version+op even when the caller prunes them; delete
     # predicates additionally need their referenced columns in flight
-    from arcane_stream_sqlserver_change_tracking_ray.stages.merge import (
-        predicate_columns,
-    )
-
     need = (
         set(out_cols)
         | {MERGE_KEY_COL, VERSION_COL, OP_COL}
@@ -1199,22 +1189,16 @@ def read_target(
     base, deltas = dict(m.partitions), dict(m.deltas)
     preds, kdels = list(m.delete_predicates), dict(m.key_deletes)
 
-    def resolve(batch: pa.Table) -> pa.Table:
-        out = []
-        for pid in batch["pid"].to_pylist():
-            t = resolve_partition_table(
-                target_root, base.get(pid, []), deltas.get(pid, []), read_schema,
-                delete_predicates=preds, key_deletes=kdels.get(pid, []),
-            )
-            if where is not None:
-                t = filter_conjunction(t, where)
-            out.append(t.select(out_cols))
-        return pa.concat_tables(out) if out else read_schema.empty_table().select(out_cols)
+    def resolve(pid: int) -> pa.Table:
+        t = resolve_partition_table(
+            target_root, base.get(pid, []), deltas.get(pid, []), read_schema,
+            delete_predicates=preds, key_deletes=kdels.get(pid, []),
+        )
+        if where is not None:
+            t = filter_conjunction(t, where)
+        return t.select(out_cols)
 
-    return (
-        ray.data.from_arrow(pa.table({"pid": pa.array(pids, pa.int64())}))
-        .map_batches(resolve, batch_format="pyarrow", batch_size=1)
-    )
+    return units_dataset([functools.partial(resolve, pid) for pid in pids])
 
 
 def read_target_table(
@@ -1351,15 +1335,7 @@ def read_change_feed(
     pids = sorted(p for p, v in appended.items() if v)
     if not pids:
         return ray.data.from_arrow(pa.schema(out_fields).empty_table())
-
-    def feed(batch: pa.Table) -> pa.Table:
-        out = [resolve_pid(pid) for pid in batch["pid"].to_pylist()]
-        return pa.concat_tables(out) if out else pa.schema(out_fields).empty_table()
-
-    return (
-        ray.data.from_arrow(pa.table({"pid": pa.array(pids, pa.int64())}))
-        .map_batches(feed, batch_format="pyarrow", batch_size=1)
-    )
+    return units_dataset([functools.partial(resolve_pid, pid) for pid in pids])
 
 
 def read_change_feed_table(
@@ -1451,16 +1427,16 @@ def export_snapshot(
     resume can tell "done, empty" from "not done".  A ``_SUCCESS``
     marker recording the exported manifest version is written last.
 
-    Runs as one Ray task per partition (the same per-pid resolve the
-    readers use — partition-pruned, no shuffle); returns
+    Partitions fan out over at most one plain Ray task per CPU
+    (``merge.run_per_cpu``; the same per-pid resolve the readers use —
+    partition-pruned, no shuffle); returns
     ``{"partitions": n, "skipped": k, "rows": total}``."""
     import json
     import os
 
-    import ray.data
-
     from arcane_stream_sqlserver_change_tracking_ray.stages.merge import (
         resolve_partition_table,
+        run_per_cpu,
     )
 
     log = ManifestLog(target_root)
@@ -1494,40 +1470,24 @@ def export_snapshot(
     base, deltas = dict(m.partitions), dict(m.deltas)
     preds, kdels = list(m.delete_predicates), dict(m.key_deletes)
 
-    def export_one(batch: pa.Table) -> pa.Table:
+    def export_one(pid: int) -> dict:
         import pyarrow.parquet as pq
 
-        stats = []
-        for pid in batch["pid"].to_pylist():
-            part_dir = os.path.join(out_dir, f"pid={pid}")
-            final = os.path.join(part_dir, "part-0.parquet")
-            if os.path.exists(final):  # finished by a previous run
-                stats.append({"pid": pid, "rows": -1, "skipped": True})
-                continue
-            t = resolve_partition_table(
-                target_root, base.get(pid, []), deltas.get(pid, []), schema,
-                delete_predicates=preds, key_deletes=kdels.get(pid, []),
-            ).select(out_names)
-            os.makedirs(part_dir, exist_ok=True)
-            tmp = final + f".tmp-{uuid.uuid4().hex}"
-            pq.write_table(t, tmp, compression=compression)
-            os.replace(tmp, final)  # atomic: readers never see a partial file
-            stats.append({"pid": pid, "rows": t.num_rows, "skipped": False})
-        return pa.Table.from_pylist(
-            stats,
-            schema=pa.schema(
-                [("pid", pa.int64()), ("rows", pa.int64()), ("skipped", pa.bool_())]
-            ),
-        )
+        part_dir = os.path.join(out_dir, f"pid={pid}")
+        final = os.path.join(part_dir, "part-0.parquet")
+        if os.path.exists(final):  # finished by a previous run
+            return {"pid": pid, "rows": -1, "skipped": True}
+        t = resolve_partition_table(
+            target_root, base.get(pid, []), deltas.get(pid, []), schema,
+            delete_predicates=preds, key_deletes=kdels.get(pid, []),
+        ).select(out_names)
+        os.makedirs(part_dir, exist_ok=True)
+        tmp = final + f".tmp-{uuid.uuid4().hex}"
+        pq.write_table(t, tmp, compression=compression)
+        os.replace(tmp, final)  # atomic: readers never see a partial file
+        return {"pid": pid, "rows": t.num_rows, "skipped": False}
 
-    if not pids:
-        results = []
-    else:
-        results = (
-            ray.data.from_arrow(pa.table({"pid": pa.array(pids, pa.int64())}))
-            .map_batches(export_one, batch_format="pyarrow", batch_size=1)
-            .take_all()
-        )
+    results = run_per_cpu(export_one, pids)
     with open(os.path.join(out_dir, "_SUCCESS"), "w", encoding="utf-8") as f:
         f.write(json.dumps({"manifest_version": m.version, "watermark": m.watermark}))
     return {

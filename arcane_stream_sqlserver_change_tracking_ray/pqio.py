@@ -1,4 +1,4 @@
-"""Parquet reads planned from footers into *read units*.
+"""Parquet reads planned on the driver into *read units*.
 
 A :class:`ReadUnit` is a picklable description of one task's input:
 file paths, the row-group run to read from each, the read's unified
@@ -16,16 +16,24 @@ no task:
   passes ``blocks_per_cpu x CPUs``) are files split into contiguous
   row-group runs, and never into units smaller than ``min_rows``.
 
+Table reads need no footers: ``read_target`` builds one unit per file
+from the manifest (file list, ``file_stats`` pruning, manifest schema).
+
 The ingest writers (``stages.merge``) run one plain Ray task per unit:
 it reads, transforms and writes, and returns only its stats rows, so
 the decoded data never enters the object store and a cycle runs no Ray
 Data executor.  Planning replaces ``ray.data.read_parquet``'s fixed
 cost per call (metadata resolution, a remote fragment-sampling round
-trip, scan-operator start-up: 0.2-0.5 s), which dominated small polls.
+trip, scan-operator start-up: 0.2-0.5 s), which dominated small polls
+and small table reads alike.
 
-:func:`units_dataset` is a lazy Ray Data view of units (a
-``Datasource`` with one read task per unit).  Only staging (G1) still
-needs it, to write the polled batch with ``Dataset.write_parquet``.
+:func:`units_dataset` is the lazy Ray Data view of units, for the reads
+that hand a ``Dataset`` to the caller (``read_target``,
+``read_change_feed``) and for staging's ``write_parquet``.  A unit is a
+``ReadUnit`` or a zero-argument callable returning one block (a
+partition's merge-on-read resolve).  It runs at most one read task per
+CPU: Ray Data's executor polls all active tasks with a 0.1 s timeout,
+so on one CPU two tasks of one read cost several times one task.
 """
 
 from __future__ import annotations
@@ -45,10 +53,11 @@ class ReadUnit:
     columns: tuple[str, ...] | None
     filter: object  # a pyarrow compute Expression, or None
     filesystem: object
-    #: footer row count, BEFORE the row filter
-    rows: int
-    #: decoded (uncompressed) bytes, from the footers
-    nbytes: int
+    #: footer row count, BEFORE the row filter (None: not planned from
+    #: footers)
+    rows: int | None = None
+    #: decoded (uncompressed) bytes, from the footers (None: unknown)
+    nbytes: int | None = None
 
     @property
     def paths(self) -> list[str]:
@@ -161,31 +170,70 @@ def plan_units(
     ]
 
 
-def units_dataset(units: list[ReadUnit]):
-    """A lazy ``ray.data.Dataset`` of *units*: a ``Datasource`` with one
-    read task per unit and no split factor, so a downstream
+def cluster_cpus() -> int:
+    """The CPUs of the running Ray cluster (this machine's before Ray
+    starts: Ray Data starts Ray with all of them)."""
+    import os
+
+    import ray
+
+    if not ray.is_initialized():
+        return os.cpu_count() or 1
+    return max(int(ray.cluster_resources().get("CPU", 1)), 1)
+
+
+def spread(items: list, n: int) -> list[list]:
+    """*items* in at most *n* contiguous runs of near-equal length, in
+    order."""
+    if not items:
+        return []
+    n = max(1, min(n, len(items)))
+    q, r = divmod(len(items), n)
+    runs, i = [], 0
+    for k in range(n):
+        j = i + q + (k < r)
+        runs.append(items[i:j])
+        i = j
+    return runs
+
+
+def _read(unit) -> pa.Table:
+    return unit.read() if isinstance(unit, ReadUnit) else unit()
+
+
+def units_dataset(units: list):
+    """A lazy ``ray.data.Dataset`` of *units*: a ``Datasource`` with at
+    most one read task per CPU, each streaming one block per unit of its
+    contiguous run, and no split factor, so a downstream
     ``map_batches(batch_size=None)`` fuses with the read."""
     import ray.data
     from ray.data import Datasource, ReadTask
     from ray.data.block import BlockMetadata
 
+    runs = spread(units, cluster_cpus())
+
+    def metadata(run: list) -> BlockMetadata:
+        planned = [u for u in run if isinstance(u, ReadUnit)]
+        # the footers count rows BEFORE the row filter
+        rows = [u.rows if u.filter is None else None for u in planned]
+        sizes = [u.nbytes for u in planned]
+        whole = len(planned) == len(run)
+        return BlockMetadata(
+            num_rows=sum(rows) if whole and None not in rows else None,
+            size_bytes=sum(sizes) if whole and None not in sizes else None,
+            input_files=[p for u in planned for p in u.paths],
+            exec_stats=None,
+        )
+
     class ReadUnits(Datasource):
         def estimate_inmemory_data_size(self) -> int | None:
-            return sum(u.nbytes for u in units) or None
+            sizes = [metadata(run).size_bytes for run in runs]
+            return None if None in sizes else sum(sizes) or None
 
         def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
             return [
-                ReadTask(
-                    lambda u=u: [u.read()],
-                    BlockMetadata(
-                        # the footers count rows BEFORE the row filter
-                        num_rows=u.rows if u.filter is None else None,
-                        size_bytes=u.nbytes,
-                        input_files=u.paths,
-                        exec_stats=None,
-                    ),
-                )
-                for u in units
+                ReadTask(lambda run=run: (_read(u) for u in run), metadata(run))
+                for run in runs
             ]
 
-    return ray.data.read_datasource(ReadUnits(), override_num_blocks=max(len(units), 1))
+    return ray.data.read_datasource(ReadUnits(), override_num_blocks=max(len(runs), 1))

@@ -7,8 +7,8 @@ and ANALYZE (column stats).  Ray-native translation:
 
 - **optimize**: partitions whose live files are many/small are
   rewritten into target-size files — a per-partition local rewrite,
-  *no shuffle* (SURVEY.md §7.4); parallelized as a Dataset of
-  partition ids fanned out with ``map_batches(batch_size=1)``,
+  *no shuffle* (SURVEY.md §7.4); parallelized over partition ids with
+  ``merge.run_per_cpu`` (at most one plain Ray task per CPU),
 - **expire/orphans**: ``ManifestLog.expire_versions`` drops old
   manifests and deletes data files referenced only by them;
   the startup ``sweep_uncommitted`` is the orphan-file removal,
@@ -22,7 +22,6 @@ Cadence counters live in the manifest so thresholds survive restarts
 
 from __future__ import annotations
 
-import json
 import uuid
 
 import pyarrow as pa
@@ -37,6 +36,7 @@ from arcane_stream_sqlserver_change_tracking_ray.state.fs import lakefs
 from arcane_stream_sqlserver_change_tracking_ray.stages.merge import (
     partition_ids,
     resolve_partition_table,
+    run_per_cpu,
     write_partition_files,
 )
 from arcane_stream_sqlserver_change_tracking_ray.stages.partitioning import (
@@ -85,7 +85,7 @@ class CompactPartition:
     resolve base + pending merge-on-read deltas (LWW, tombstones dropped)
     and rewrite.  This is THE fold point of the delta log — the analog of
     Iceberg OPTIMIZE compacting MERGE output (docs/crd.md:136-150).
-    Runs as a fan-out ``map_batches(batch_size=1)`` over partition ids."""
+    Called once per partition id, fanned out with ``run_per_cpu``."""
 
     def __init__(
         self,
@@ -129,49 +129,38 @@ class CompactPartition:
         self.cluster_by = tuple(cluster_by)
         self.cluster_min_rows = cluster_min_rows
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_pids, out_files, out_bounds = [], [], []
-        for pid in batch["pid"].to_pylist():
-            merged = resolve_partition_table(
-                self.target_root,
-                self.partition_files.get(pid, []),
-                self.partition_deltas.get(pid, []),
-                self.schema,
-                delete_predicates=self.delete_predicates,
-                key_deletes=self.key_deletes.get(pid, []),
-            )
-            if self.sorted_by and merged.num_rows:
-                merged = merged.sort_by(
-                    [(c, "ascending") for c in self.sorted_by]
-                )
-            fb: dict = {}
-            rels, _ = write_partition_files(
-                merged,
-                self.target_root,
-                self.cycle_id,
-                pid,
-                max_rows_per_file=self.max_rows_per_file,
-                compression=self.compression,
-                fsync=self.fsync,
-                bloom_columns=self.bloom_columns,
-                cluster_by=self.cluster_by,
-                cluster_min_rows=self.cluster_min_rows,
-                bounds_cols=tuple(dict.fromkeys(
-                    _cluster_sources(self.cluster_by) + self.sorted_by)),
-                bounds_out=fb,
-            )
-            out_pids.append(pid)
-            out_files.append(json.dumps(rels))
-            out_bounds.append(json.dumps(fb) if fb else "")
-        return pa.table(
-            {"pid": out_pids, "files_json": out_files, "file_stats_json": out_bounds}
+    def __call__(self, pid: int) -> dict:
+        merged = resolve_partition_table(
+            self.target_root,
+            self.partition_files.get(pid, []),
+            self.partition_deltas.get(pid, []),
+            self.schema,
+            delete_predicates=self.delete_predicates,
+            key_deletes=self.key_deletes.get(pid, []),
         )
+        if self.sorted_by and merged.num_rows:
+            merged = merged.sort_by([(c, "ascending") for c in self.sorted_by])
+        fb: dict = {}
+        rels, _ = write_partition_files(
+            merged,
+            self.target_root,
+            self.cycle_id,
+            pid,
+            max_rows_per_file=self.max_rows_per_file,
+            compression=self.compression,
+            fsync=self.fsync,
+            bloom_columns=self.bloom_columns,
+            cluster_by=self.cluster_by,
+            cluster_min_rows=self.cluster_min_rows,
+            bounds_cols=tuple(dict.fromkeys(
+                _cluster_sources(self.cluster_by) + self.sorted_by)),
+            bounds_out=fb,
+        )
+        return {"pid": pid, "files": rels, "file_stats": fb}
 
 
 def optimize(log: ManifestLog, ctx: StreamContext) -> dict:
     """OPTIMIZE pass; commits a new manifest version (watermark unchanged)."""
-    import ray.data
-
     manifest = log.require_watermark()
     pids = partitions_needing_compaction(
         log.root,
@@ -197,23 +186,17 @@ def optimize(log: ManifestLog, ctx: StreamContext) -> dict:
         cluster_by=parse_partition_exprs(tuple(ctx.sink.partition_by)),
         cluster_min_rows=ctx.sink.cluster_min_rows,
     )
-    res = (
-        ray.data.from_arrow(pa.table({"pid": pa.array(pids, pa.int64())}))
-        .map_batches(fn, batch_format="pyarrow", batch_size=1)
-        .take_all()
-    )
+    res = run_per_cpu(fn, pids)
     nxt = manifest.next()
     folded_deltas = 0
     for r in res:
-        pid = int(r["pid"])
-        files = json.loads(r["files_json"])
+        pid, files = r["pid"], r["files"]
         if files:
             nxt.partitions[pid] = files
         else:  # partition fully deleted by folded tombstones
             nxt.partitions.pop(pid, None)
         folded_deltas += len(nxt.deltas.pop(pid, []))
-        if r.get("file_stats_json"):
-            nxt.file_stats.update(json.loads(r["file_stats_json"]))
+        nxt.file_stats.update(r["file_stats"])
         nxt.lineage.setdefault(pid, {})["compacted"] = cycle_id
         nxt.lineage[pid]["deltas"] = 0
     if nxt.file_stats:  # drop bounds of the files this fold superseded
@@ -238,8 +221,6 @@ def materialize_deletes(log: ManifestLog, ctx: StreamContext) -> dict:
     predicate list and the folded deltas.  After this (plus
     ``expire_versions`` GC-ing the old snapshots) the deleted bytes are
     gone from disk, not merely filtered."""
-    import ray.data
-
     manifest = log.require_watermark()
     if not manifest.delete_predicates and not manifest.key_deletes:
         return {"materialized": 0}
@@ -266,21 +247,14 @@ def materialize_deletes(log: ManifestLog, ctx: StreamContext) -> dict:
             cluster_by=parse_partition_exprs(tuple(ctx.sink.partition_by)),
             cluster_min_rows=ctx.sink.cluster_min_rows,
         )
-        res = (
-            ray.data.from_arrow(pa.table({"pid": pa.array(pids, pa.int64())}))
-            .map_batches(fn, batch_format="pyarrow", batch_size=1)
-            .take_all()
-        )
-        for r in res:
-            pid = int(r["pid"])
-            files = json.loads(r["files_json"])
+        for r in run_per_cpu(fn, pids):
+            pid, files = r["pid"], r["files"]
             if files:
                 nxt.partitions[pid] = files
             else:  # every row of the partition was deleted
                 nxt.partitions.pop(pid, None)
             nxt.deltas.pop(pid, None)
-            if r.get("file_stats_json"):
-                nxt.file_stats.update(json.loads(r["file_stats_json"]))
+            nxt.file_stats.update(r["file_stats"])
             nxt.lineage.setdefault(pid, {})["materialized_deletes"] = cycle_id
         if nxt.file_stats:
             live = nxt.all_files()
@@ -347,60 +321,49 @@ class RepartitionPartition:
         self.fsync = fsync
         self.bloom_columns = bloom_columns
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, pid: int) -> list[dict]:
+        """One ``{pid, files, file_stats}`` per NEW pid the old *pid*'s
+        rows land in."""
         import numpy as np
 
-        out_pids, out_files, out_bounds = [], [], []
-        for pid in batch["pid"].to_pylist():
-            merged = resolve_partition_table(
-                self.target_root,
-                self.partition_files.get(pid, []),
-                self.partition_deltas.get(pid, []),
-                self.schema,
-            )
-            if merged.num_rows == 0:
-                continue
-            if self.sorted_by:
-                # sort FIRST, then stable-argsort by new pid: each new-pid
-                # run keeps sortedBy order, matching CompactPartition
-                merged = merged.sort_by(
-                    [(c, "ascending") for c in self.sorted_by]
-                )
-            npid = partition_ids(
-                merged[MERGE_KEY_COL], self.new_partitions, self.key_hash_algo
-            )
-            order = np.argsort(npid, kind="stable")
-            merged = merged.take(pa.array(order))
-            npid = npid[order]
-            starts = np.flatnonzero(np.r_[True, npid[1:] != npid[:-1]])
-            ends = np.r_[starts[1:], len(npid)]
-            for s, e in zip(starts, ends):
-                fb: dict = {}
-                rels, _ = write_partition_files(
-                    merged.slice(int(s), int(e - s)),
-                    self.target_root,
-                    self.cycle_id,
-                    int(npid[s]),
-                    max_rows_per_file=self.max_rows_per_file,
-                    compression=self.compression,
-                    fsync=self.fsync,
-                    bloom_columns=self.bloom_columns,
-                    cluster_by=self.cluster_by,
-                    cluster_min_rows=self.cluster_min_rows,
-                    bounds_cols=tuple(dict.fromkeys(
-                        _cluster_sources(self.cluster_by) + self.sorted_by)),
-                    bounds_out=fb,
-                )
-                out_pids.append(int(npid[s]))
-                out_files.append(json.dumps(rels))
-                out_bounds.append(json.dumps(fb) if fb else "")
-        return pa.table(
-            {
-                "pid": pa.array(out_pids, pa.int64()),
-                "files_json": out_files,
-                "file_stats_json": out_bounds,
-            }
+        merged = resolve_partition_table(
+            self.target_root,
+            self.partition_files.get(pid, []),
+            self.partition_deltas.get(pid, []),
+            self.schema,
         )
+        if merged.num_rows == 0:
+            return []
+        if self.sorted_by:
+            # sort FIRST, then stable-argsort by new pid: each new-pid
+            # run keeps sortedBy order, matching CompactPartition
+            merged = merged.sort_by([(c, "ascending") for c in self.sorted_by])
+        npid = partition_ids(merged[MERGE_KEY_COL], self.new_partitions, self.key_hash_algo)
+        order = np.argsort(npid, kind="stable")
+        merged = merged.take(pa.array(order))
+        npid = npid[order]
+        starts = np.flatnonzero(np.r_[True, npid[1:] != npid[:-1]])
+        ends = np.r_[starts[1:], len(npid)]
+        out = []
+        for s, e in zip(starts, ends):
+            fb: dict = {}
+            rels, _ = write_partition_files(
+                merged.slice(int(s), int(e - s)),
+                self.target_root,
+                self.cycle_id,
+                int(npid[s]),
+                max_rows_per_file=self.max_rows_per_file,
+                compression=self.compression,
+                fsync=self.fsync,
+                bloom_columns=self.bloom_columns,
+                cluster_by=self.cluster_by,
+                cluster_min_rows=self.cluster_min_rows,
+                bounds_cols=tuple(dict.fromkeys(
+                    _cluster_sources(self.cluster_by) + self.sorted_by)),
+                bounds_out=fb,
+            )
+            out.append({"pid": int(npid[s]), "files": rels, "file_stats": fb})
+        return out
 
 
 def repartition_table(log: ManifestLog, ctx: StreamContext, new_partitions: int) -> dict:
@@ -411,17 +374,15 @@ def repartition_table(log: ManifestLog, ctx: StreamContext, new_partitions: int)
     partitions = more merge/read parallelism and smaller point-lookup
     fan-in).
 
-    One fan-out task per OLD partition resolves base+deltas and writes
-    new-pid-bucketed files (no shuffle — write-side partitioning); ONE
-    manifest commit flips ``num_partitions``, the full file map, and
+    Each OLD partition resolves base+deltas and writes new-pid-bucketed
+    files, in at most one task per CPU (no shuffle — write-side
+    partitioning); ONE manifest commit flips ``num_partitions``, the full file map, and
     clears all deltas.  Readers and the next streaming cycle pick up the
     new spec from the manifest — routing is always manifest-driven, so
     the flip is transparent.  Concurrent streamers CAS-fail and retry
     against the new spec.  The change feed refuses to cross the
     boundary (pids are not comparable across specs); re-baseline from a
     post-repartition snapshot."""
-    import ray.data
-
     manifest = log.require_watermark()
     old = manifest.num_partitions
     if new_partitions < 1:
@@ -442,7 +403,6 @@ def repartition_table(log: ManifestLog, ctx: StreamContext, new_partitions: int)
     nxt.deltas = {}
     nxt.lineage = {}
     nxt.file_stats = {}  # every file is replaced under the new spec
-    moved = 0
     if pids:
         fn = RepartitionPartition(
             target_root=log.root,
@@ -461,18 +421,10 @@ def repartition_table(log: ManifestLog, ctx: StreamContext, new_partitions: int)
             cluster_min_rows=ctx.sink.cluster_min_rows,
             sorted_by=tuple(ctx.sink.sorted_by),
         )
-        res = (
-            ray.data.from_arrow(pa.table({"pid": pa.array(pids, pa.int64())}))
-            .map_batches(fn, batch_format="pyarrow", batch_size=1)
-            .take_all()
-        )
-        for r in res:
-            nxt.partitions.setdefault(int(r["pid"]), []).extend(
-                json.loads(r["files_json"])
-            )
-            if r.get("file_stats_json"):
-                nxt.file_stats.update(json.loads(r["file_stats_json"]))
-            moved += 1
+        for written in run_per_cpu(fn, pids):
+            for r in written:
+                nxt.partitions.setdefault(r["pid"], []).extend(r["files"])
+                nxt.file_stats.update(r["file_stats"])
         for pid in nxt.partitions:
             nxt.lineage[pid] = {"repartitioned": cycle_id, "deltas": 0}
     nxt.metrics = {

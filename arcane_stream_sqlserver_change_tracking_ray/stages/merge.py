@@ -53,6 +53,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from arcane_stream_sqlserver_change_tracking_ray.functions.transforms import cast_to_schema
+from arcane_stream_sqlserver_change_tracking_ray.pqio import cluster_cpus, spread
 from arcane_stream_sqlserver_change_tracking_ray.stages.partitioning import (
     cluster_order,
     coalesce_runs,
@@ -1012,7 +1013,21 @@ def _unit_task(unit, transform, fn, index: int):
     return fn(batch, index)
 
 
-_UNIT_TASK = None
+def _run_task(fn, items: list) -> list:
+    return [fn(x) for x in items]
+
+
+_REMOTE: dict = {}
+
+
+def _remote(task):
+    """*task* as a plain ``ray.remote`` function of one CPU, exported
+    once per process."""
+    import ray
+
+    if task not in _REMOTE:
+        _REMOTE[task] = ray.remote(task)
+    return _REMOTE[task]
 
 
 def run_units(units, transform, fn) -> list:
@@ -1028,12 +1043,23 @@ def run_units(units, transform, fn) -> list:
     no Ray Data executor."""
     import ray
 
-    global _UNIT_TASK
     if hasattr(units, "to_arrow_refs"):  # a ray.data.Dataset
         units = units.to_arrow_refs()
-    if _UNIT_TASK is None:
-        _UNIT_TASK = ray.remote(_unit_task)
-    return ray.get([_UNIT_TASK.remote(u, transform, fn, i) for i, u in enumerate(units)])
+    task = _remote(_unit_task)
+    return ray.get([task.remote(u, transform, fn, i) for i, u in enumerate(units)])
+
+
+def run_per_cpu(fn, items: list) -> list:
+    """``[fn(x) for x in items]`` in at most one plain Ray task per CPU,
+    each over a contiguous run of *items*; results in item order.  The
+    partition fan-outs of maintenance and export use it (a Ray Data map
+    over a one-block Dataset of partition ids would run them all in one
+    task)."""
+    import ray
+
+    task = _remote(_run_task)
+    runs = spread(list(items), cluster_cpus())
+    return [r for out in ray.get([task.remote(fn, run) for run in runs]) for r in out]
 
 
 # ---------------------------------------------------------------------------
@@ -1333,15 +1359,12 @@ class ActorMergePool:
         bloom_columns: tuple[str, ...] = (),
         hash_algo: str = "pandas",
     ):
-        import ray
-
         self.hash_algo = hash_algo
-        cpus = int(ray.cluster_resources().get("CPU", 8))
         cls = _make_owner_actor()
         self.actors = [
             cls.remote(target_root, compression, max_rows_per_file, fsync,
                        tuple(bloom_columns))
-            for _ in range(max(1, min(num_partitions, cpus)))
+            for _ in range(max(1, min(num_partitions, cluster_cpus())))
         ]
         self.num_partitions = num_partitions
 

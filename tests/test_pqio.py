@@ -1,7 +1,10 @@
 """pqio read units: planned from footers, read against the unified
 schema like ``ray.data.read_parquet``, planning launches no task, and a
-cycle runs one plain Ray task per unit (no Ray Data executor)."""
+cycle runs one plain Ray task per unit (no Ray Data executor).  Table
+reads plan their units from the manifest, and every partition fan-out
+runs at most one task per CPU."""
 
+import glob
 import os
 
 import pyarrow as pa
@@ -19,9 +22,11 @@ from arcane_stream_sqlserver_change_tracking_ray.gen import (
 )
 from arcane_stream_sqlserver_change_tracking_ray.pipelines.runner import (
     StreamRunner,
+    read_change_feed,
+    read_target,
     read_target_table,
 )
-from arcane_stream_sqlserver_change_tracking_ray.pqio import plan_units
+from arcane_stream_sqlserver_change_tracking_ray.pqio import plan_units, spread
 from arcane_stream_sqlserver_change_tracking_ray.state.manifest import (
     ManifestLog,
     prepare_watermark,
@@ -335,3 +340,128 @@ def test_cow_replays_write_identical_partition_files(tmp_path):
     first, second = replay("a"), replay("b")
     assert len(first) == 4
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# table reads: planned from the manifest, at most one task per CPU
+# ---------------------------------------------------------------------------
+def _materialize(ds) -> pa.Table:
+    return pa.concat_tables(list(ds.iter_batches(batch_format="pyarrow", batch_size=None)))
+
+
+def test_spread_keeps_order_in_near_equal_runs():
+    assert spread(list(range(7)), 3) == [[0, 1, 2], [3, 4], [5, 6]]
+    assert spread([1, 2], 8) == [[1], [2]]
+    assert spread([], 4) == []
+
+
+@pytest.mark.parametrize("merge_mode", ["mor", "cow"])
+def test_read_target_plans_from_the_manifest(tmp_lake, monkeypatch, merge_mode):
+    """``read_target`` on a merge-on-read table (pending deltas) and on a
+    no-delta (CoW) table runs with ``ray.data.read_parquet`` and
+    ``ray.data.from_arrow`` refusing to run, filtered or not, and
+    matches the oracle."""
+    ct, tgt, _ = tmp_lake
+    write_ctlog(ct, small_spec())
+    prepare_watermark(tgt, version=0, num_partitions=4)
+    StreamRunner(_ctx(ct, tgt, merge_mode)).run()
+    assert any(ManifestLog(tgt).latest().deltas.values()) == (merge_mode == "mor")
+
+    def refuse(*a, **kw):
+        raise AssertionError("read_target went through read_parquet or from_arrow")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(ray.data, "read_parquet", refuse)
+        mp.setattr(ray.data, "from_arrow", refuse)
+        got = _materialize(read_target(tgt, drop_meta=True))
+        en = _materialize(read_target(tgt, columns=["url", "lang"], where=[["lang", "==", "en"]]))
+    want = expected_final_state(ct)
+    assert_tables_equal(got, want)
+    assert en.column_names == ["url", "lang"]
+    assert_tables_equal(en, want.filter(pc.equal(want["lang"], "en")).select(["url", "lang"]))
+
+
+def test_partition_fanouts_spread_over_workers(tmp_lake, tmp_path, monkeypatch):
+    """On a Ray of >= 2 CPUs, a P=8 merge-on-read ``read_target``, a
+    change feed and OPTIMIZE each resolve their partitions in more than
+    one worker process and in at most one task per CPU.  (A Ray Data
+    ``map_batches(batch_size=1)`` over one block of partition ids ran
+    every partition in ONE task.)"""
+    from arcane_stream_sqlserver_change_tracking_ray.stages import maintenance, merge
+
+    cpus = int(ray.cluster_resources()["CPU"])
+    assert cpus >= 2
+    ct, tgt, _ = tmp_lake
+    write_ctlog(ct, small_spec())
+    prepare_watermark(tgt, version=0, num_partitions=8)
+    ctx = StreamContext.from_dict(
+        {
+            "source": {"ctlog_dir": ct},
+            "sink": {"target_root": tgt, "num_partitions": 8},
+            "throughput": {"rows_per_group": 500},
+        }
+    )
+    StreamRunner(ctx).run()
+    want = expected_final_state(ct)
+
+    def recorder(kind: str):
+        d = str(tmp_path / kind)
+        os.makedirs(d)
+
+        def record():
+            import time
+            import uuid
+
+            time.sleep(0.2)  # long enough for the tasks to overlap
+            task = ray.get_runtime_context().get_task_id()
+            with open(os.path.join(d, uuid.uuid4().hex), "w") as f:
+                f.write(f"{os.getpid()} {task}")
+
+        return record
+
+    def seen(kind: str) -> tuple[int, int, int]:
+        calls = [open(p).read().split() for p in glob.glob(str(tmp_path / kind / "*"))]
+        return len(calls), len({p for p, _ in calls}), len({t for _, t in calls})
+
+    def wrapped(fn, record):
+        def call(*a, **kw):
+            record()
+            return fn(*a, **kw)
+
+        return call
+
+    with monkeypatch.context() as mp:
+        mp.setattr(
+            merge,
+            "resolve_partition_table",
+            wrapped(merge.resolve_partition_table, recorder("read")),
+        )
+        got = _materialize(read_target(tgt, drop_meta=True))
+    assert_tables_equal(got, want)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(
+            merge,
+            "change_feed_partition",
+            wrapped(merge.change_feed_partition, recorder("feed")),
+        )
+        feed = _materialize(read_change_feed(tgt, from_version=0))
+    assert feed.num_rows == want.num_rows  # every key is an insert since v0
+
+    record = recorder("optimize")
+
+    class Recorded(maintenance.CompactPartition):
+        def __call__(self, pid):
+            record()
+            return super().__call__(pid)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(maintenance, "CompactPartition", Recorded)
+        assert maintenance.optimize(ManifestLog(tgt), ctx)["compacted_partitions"] == 8
+    assert_tables_equal(read_target_table(tgt), want)
+
+    for kind in ("read", "feed", "optimize"):
+        calls, workers, tasks = seen(kind)
+        assert calls == 8, kind
+        assert workers >= 2, kind
+        assert tasks <= cpus, kind

@@ -5,6 +5,7 @@ NULL.  F3 #4: the column disappears from the feed -> the target RETAINS
 it and post-drop rows read NULL (additive-only, never destructive)."""
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 from arcane_stream_sqlserver_change_tracking_ray.config import StreamContext
@@ -16,12 +17,21 @@ from arcane_stream_sqlserver_change_tracking_ray.gen import (
 )
 from arcane_stream_sqlserver_change_tracking_ray.pipelines.runner import (
     StreamRunner,
+    read_target,
     read_target_table,
 )
 from arcane_stream_sqlserver_change_tracking_ray.stages.schema_evo import (
     unify_target_schema,
 )
-from arcane_stream_sqlserver_change_tracking_ray.state.manifest import prepare_watermark
+from arcane_stream_sqlserver_change_tracking_ray.state.manifest import (
+    ManifestLog,
+    prepare_watermark,
+)
+from arcane_stream_sqlserver_change_tracking_ray.types import (
+    MERGE_KEY_COL,
+    OP_COL,
+    VERSION_COL,
+)
 from tests.util import assert_tables_equal
 
 
@@ -91,6 +101,34 @@ def test_add_column_mid_stream(tmp_lake):
     assert pre["title"].isna().all()
     assert post["title"].notna().all()
     assert len(pre) > 0 and len(post) > 0
+
+
+def test_no_delta_read_after_migration_reads_missing_column_as_nulls(tmp_lake):
+    """A CoW table whose last, small cycle adds ``title`` keeps the base
+    files of the partitions it did not touch without the column.  The
+    no-delta ``read_target`` reads them against the manifest schema:
+    ``title`` is null there, in the manifest's type and position."""
+    import pyarrow.parquet as pq
+
+    ct, tgt, _ = tmp_lake
+    write_ctlog(ct, small_spec(add_column_at=996))
+    prepare_watermark(tgt, version=0, num_partitions=8)
+    ctx = make_ctx(ct, tgt)
+    ctx.sink.num_partitions = 8
+    ctx.sink.merge_mode = "cow"
+    ctx.throughput.rows_per_group = 995  # the migrating cycle is 5 events
+    StreamRunner(ctx).run()
+    m = ManifestLog(tgt).latest()
+    assert not any(m.deltas.values())
+    lacking = [f for f in m.all_files() if "title" not in pq.read_schema(f"{tgt}/{f}").names]
+    assert 0 < len(lacking) < len(m.all_files())
+    batches = read_target(tgt).iter_batches(batch_format="pyarrow", batch_size=None)
+    got = pa.concat_tables(list(batches))
+    assert got.schema.names == m.schema.names
+    assert got.schema.field("title").type == m.schema.field("title").type
+    old = got.filter(pc.less(got[VERSION_COL], 996))
+    assert old.num_rows > 0 and old["title"].null_count == old.num_rows
+    assert_tables_equal(got.drop_columns([OP_COL, MERGE_KEY_COL]), expected_final_state(ct))
 
 
 def test_schema_drift_every_cycle(tmp_lake):
