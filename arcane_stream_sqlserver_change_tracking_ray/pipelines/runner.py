@@ -1372,7 +1372,12 @@ def lookup_keys(
     filtering by key BEFORE the LWW resolve is safe because all versions
     of a key live in one partition.  *version* time-travels the lookup
     to a retained snapshot or tag name ("what did this key hold at the
-    prod-baseline tag?")."""
+    prod-baseline tag?").
+
+    Each touched partition resolves key first over its deltas
+    (``merge.resolve_partition_table``): only the LWW columns of every
+    entry are decoded, the rest only for the winning rows; committed
+    files' footers are parsed once per process (``fs.FOOTERS``)."""
     from arcane_stream_sqlserver_change_tracking_ray.stages.merge import (
         partition_ids,
         resolve_partition_table,
@@ -1380,12 +1385,8 @@ def lookup_keys(
 
     log = ManifestLog(target_root)
     m = log.read(version) if version is not None else log.require_watermark()
-    pids = set(
-        partition_ids(
-            pa.array(keys, pa.string()), m.num_partitions, m.key_hash_algo
-        ).tolist()
-    )
     key_arr = pa.array(keys, pa.string())
+    pids = set(partition_ids(key_arr, m.num_partitions, m.key_hash_algo).tolist())
     tables = []
     for pid in sorted(pids):
         t = resolve_partition_table(

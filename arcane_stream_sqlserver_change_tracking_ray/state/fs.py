@@ -44,6 +44,7 @@ from __future__ import annotations
 import os
 import posixpath
 import shutil
+import threading
 import uuid
 
 import pyarrow as pa
@@ -65,6 +66,65 @@ _FS_CACHE: dict[str, "LakeFS"] = {}
 #: their live client handles — forever; eviction just recreates a cheap
 #: stateless handle on next use.
 _FS_CACHE_MAX = 64
+
+
+class FooterCache:
+    """A small process-level LRU of parsed parquet footers
+    (``pq.FileMetaData``) of the lake's data files.
+
+    Committed data files sit at attempt-unique uuid paths and are never
+    rewritten, so a footer parsed once stays valid for the file's life;
+    a point lookup then pays for opening the file, not for parsing its
+    footer again.  The key still names the exact bytes — the backend's
+    identity of the opened object (size and modification time, plus the
+    inode where there is one) — so a path whose bytes change misses
+    and is parsed afresh, never served a stale footer.  A deleted file
+    fails to open before the cache is consulted.
+
+    Pickles EMPTY (``__reduce__``): a worker-shipped closure that
+    reaches the cache through this module's globals must not carry the
+    driver's footers along."""
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._md: dict = {}
+        self._lock = threading.Lock()
+
+    def __reduce__(self):
+        return (type(self), (self.maxsize,))
+
+    def parquet_file(self, source, ident) -> pq.ParquetFile:
+        """``pq.ParquetFile`` over the open *source*, reusing the footer
+        cached under *ident* or parsing and caching it."""
+        with self._lock:
+            md = self._md.pop(ident, None)
+            if md is not None:
+                self._md[ident] = md  # most recently used goes last
+        if md is not None:
+            return pq.ParquetFile(source, metadata=md)
+        pf = pq.ParquetFile(source)
+        with self._lock:
+            self._md[ident] = pf.metadata
+            while len(self._md) > self.maxsize:
+                self._md.pop(next(iter(self._md)))
+        return pf
+
+
+#: the footer cache every backend's ``parquet_file`` goes through; a
+#: fixed bound (a footer of a few-row-group file is a few KB)
+FOOTERS = FooterCache(256)
+
+
+def _local_parquet_file(root: str, rel: str, path: str) -> pq.ParquetFile:
+    """A local file through :data:`FOOTERS`, identified by its size,
+    mtime and inode.  The stat precedes the open, so a file replaced in
+    between opens with a size the stat did not see; that read parses
+    its own footer and caches nothing."""
+    st = os.stat(path)
+    f = pa.OSFile(path)
+    if f.size() != st.st_size:
+        return pq.ParquetFile(f)
+    return FOOTERS.parquet_file(f, (root, rel, st.st_size, st.st_mtime_ns, st.st_ino))
 
 
 def lakefs(root: str) -> "LakeFS":
@@ -162,6 +222,8 @@ class LakeFS:
         raise NotImplementedError
 
     def parquet_file(self, rel: str) -> pq.ParquetFile:
+        """An open ``pq.ParquetFile`` of one data file; its footer comes
+        from :data:`FOOTERS` when this exact object was parsed before."""
         raise NotImplementedError
 
     def read_table(self, rel: str, **kw) -> pa.Table:
@@ -301,7 +363,7 @@ class LocalLakeFS(LakeFS):
         return os.path.getsize(path)
 
     def parquet_file(self, rel: str) -> pq.ParquetFile:
-        return pq.ParquetFile(self.full(rel))
+        return _local_parquet_file(self.root, rel, self.full(rel))
 
     def read_table(self, rel: str, **kw) -> pa.Table:
         return pq.read_table(self.full(rel), **kw)
@@ -471,7 +533,11 @@ class ArrowLakeFS(LakeFS):
         return self.getsize(rel)
 
     def parquet_file(self, rel: str) -> pq.ParquetFile:
-        return pq.ParquetFile(self._fs.open_input_file(self.full(rel)))
+        info = self._fs.get_file_info(self.full(rel))
+        return FOOTERS.parquet_file(  # the open raises on a missing file
+            self._fs.open_input_file(info.path),
+            (self.root, rel, info.size, info.mtime_ns),
+        )
 
     def read_table(self, rel: str, **kw) -> pa.Table:
         return pq.read_table(self.full(rel), filesystem=self._fs, **kw)
@@ -626,8 +692,8 @@ class ObjectStoreFS(LakeFS):
         self.write_bytes(rel, data)  # durable on PUT return, per store contract
         return len(data)
 
-    def parquet_file(self, rel: str) -> pq.ParquetFile:
-        return pq.ParquetFile(self._key(rel))
+    def parquet_file(self, rel: str) -> pq.ParquetFile:  # GET (ranged)
+        return _local_parquet_file(self.root, rel, self._key(rel))
 
     def read_table(self, rel: str, **kw) -> pa.Table:
         return pq.read_table(self._key(rel), **kw)

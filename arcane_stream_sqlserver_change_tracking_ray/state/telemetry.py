@@ -13,7 +13,8 @@ module adds the push half with the same transport and wire format:
 - ``udp://host:port`` — plain StatsD/DogStatsD over UDP,
 - ``""`` (default) — disabled, zero overhead.
 
-Wire format is DogStatsD: ``name:value|type|#tag:v,tag:v``.
+Wire format is DogStatsD: ``name:value|type|#tag:v,tag:v``; a cycle's
+metrics travel as one newline-separated datagram.
 
 Publishing is strictly fire-and-forget: the socket is datagram
 (connectionless), sends never block the cycle, and ANY send error is
@@ -89,10 +90,17 @@ class StatsdPublisher:
         )
 
     # -- wire ------------------------------------------------------------
-    def _send(self, name: str, value, mtype: str) -> None:
-        line = f"{self.prefix}.{name}:{value}|{mtype}{self._tagstr}"
+    def _line(self, name: str, value, mtype: str) -> str:
+        """One metric line; a timing's *value* is in seconds."""
+        if mtype == "c":
+            value = int(value)
+        elif mtype == "ms":
+            value = round(float(value) * 1000.0, 3)
+        return f"{self.prefix}.{name}:{value}|{mtype}{self._tagstr}"
+
+    def _send(self, payload: str) -> None:
         try:
-            self._sock.sendto(line.encode("utf-8"), self._addr)
+            self._sock.sendto(payload.encode("utf-8"), self._addr)
         except BlockingIOError:
             pass  # receiver queue full: drop the datagram, never block
         except OSError as e:
@@ -102,28 +110,27 @@ class StatsdPublisher:
                 self._warned = True
 
     def count(self, name: str, value) -> None:
-        self._send(name, int(value), "c")
+        self._send(self._line(name, value, "c"))
 
     def gauge(self, name: str, value) -> None:
-        self._send(name, value, "g")
+        self._send(self._line(name, value, "g"))
 
     def timing_ms(self, name: str, seconds: float) -> None:
-        self._send(name, round(float(seconds) * 1000.0, 3), "ms")
+        self._send(self._line(name, seconds, "ms"))
 
     # -- engine hook -------------------------------------------------------
     def publish_cycle(self, metrics: dict) -> None:
-        """One datagram per published cycle metric (the reference emits
-        per-batch counters the same way)."""
-        for name, key, mtype in _CYCLE_METRICS:
-            if key not in metrics:
-                continue
-            v = metrics[key]
-            if mtype == "ms":
-                self.timing_ms(name, v)
-            elif mtype == "g":
-                self.gauge(name, v)
-            else:
-                self.count(name, v)
+        """All of a cycle's published metrics in ONE datagram, one metric
+        per line (DogStatsD accepts newline-separated metrics in a
+        packet), so a full receive queue drops a whole cycle or nothing
+        of it — never its last few metrics."""
+        lines = [
+            self._line(name, metrics[key], mtype)
+            for name, key, mtype in _CYCLE_METRICS
+            if key in metrics
+        ]
+        if lines:
+            self._send("\n".join(lines))
 
     def close(self) -> None:
         try:

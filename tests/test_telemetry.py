@@ -48,6 +48,24 @@ def test_statsd_wire_format(tmp_path):
     srv.close()
 
 
+def test_publish_cycle_sends_one_datagram(tmp_path):
+    """A cycle's metrics leave as ONE newline-joined datagram, so a full
+    receive queue drops a whole cycle or nothing of it."""
+    sock_path = str(tmp_path / "dsd.socket")
+    srv = socket.socket(socket.AF_UNIX, socket.SOCK_DGRAM)
+    srv.bind(sock_path)
+    pub = StatsdPublisher(f"uds://{sock_path}", tags={"stream": "t1"})
+    pub.publish_cycle({"changes_in": 7, "watermark": 1000, "cycle_s": 0.25})
+    packets = _drain(srv)
+    assert packets == [
+        "arcane.stream.changes_in:7|c|#stream:t1\n"
+        "arcane.stream.watermark:1000|g|#stream:t1\n"
+        "arcane.stream.cycle_s:250.0|ms|#stream:t1"
+    ]
+    pub.close()
+    srv.close()
+
+
 def test_statsd_target_validation():
     with pytest.raises(ValueError, match="statsd target"):
         StatsdPublisher("carrier-pigeon://x")
@@ -70,8 +88,8 @@ def test_engine_pushes_cycle_metrics_over_uds(tmp_lake, tmp_path):
     def agent():
         srv.settimeout(0.05)
         while not stop.is_set():
-            try:
-                lines.append(srv.recv(8192).decode())
+            try:  # one datagram per cycle, one metric per line
+                lines.extend(srv.recv(8192).decode().split("\n"))
             except (TimeoutError, socket.timeout):
                 continue
 
