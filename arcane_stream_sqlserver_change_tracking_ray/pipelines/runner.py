@@ -79,19 +79,29 @@ class ShardOverlapError(RuntimeError):
     .backfill_validate_disjoint)."""
 
 
+class MergeKeyAliasError(ValueError):
+    """The table records ``arcane_merge_key`` as an alias of one column
+    (``Manifest.merge_key_alias``, fixed for the table's life) and this
+    runner's merge key is something else."""
+
+
 # ---------------------------------------------------------------------------
 # per-batch transform stage (T1-T4 composed into ONE Arrow pass)
 # ---------------------------------------------------------------------------
 class TransformStage:
     """normalize names → synthesize merge key → field selection → casts.
 
-    Single-string-key fast path: when the merge key IS one existing
-    string column (the web-page case: key = ``url``), the duplicate
-    ``arcane_merge_key`` column is NOT materialized here — batches ship
-    through the exchange without the extra string copy and the merge
-    writers append the alias at flush time.  On a bandwidth-bound box
-    this removes ~15% of the bytes in flight.  ``key_col`` tells the
-    merge which column to route/dedup on.
+    Single-key fast path: when the merge key IS one source column (the
+    web-page case: key = ``url``), the duplicate ``arcane_merge_key``
+    column is NOT materialized here — batches ship through the exchange
+    without the extra string copy and the merge writers append an
+    in-memory alias after it.  On a bandwidth-bound box this removes
+    ~15% of the bytes in flight.  The fast path covers storage too: the
+    runner records the alias in the manifest (``merge_key_alias``), data
+    files do not store the copy, and readers derive it from the key
+    column (about 5% of a web-page table's stored bytes).  ``key_col``
+    tells the merge which column to route/dedup on; ``merge_key_alias``
+    is that column on the fast path, else None.
     """
 
     def __init__(self, ctx: StreamContext, casts: dict | None = None):
@@ -102,6 +112,7 @@ class TransformStage:
         self.casts = casts or {}
         self.alias_key = len(self.key_columns) == 1
         self.key_col = self.key_columns[0] if self.alias_key else MERGE_KEY_COL
+        self.merge_key_alias = self.key_col if self.key_col != MERGE_KEY_COL else None
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         batch = T.normalize_column_names(batch)
@@ -251,13 +262,30 @@ class StreamRunner:
             target_units=self._target_units(),
         )
 
+    def _merge_key_alias(self, manifest: Manifest, source: pa.Schema) -> str | None:
+        """The merge-key alias a batch read with *source*'s columns is
+        written under, to record in the commit: the runner's single key
+        column, unless the source ships its own ``arcane_merge_key``.
+        Fails fast when the table records another."""
+        alias = self._transform.merge_key_alias
+        if alias is not None and MERGE_KEY_COL in {T.normalize_name(n) for n in source.names}:
+            alias = None
+        _check_merge_key_alias(manifest, alias)
+        return alias
+
     def _merge(
-        self, units, cycle_id: str, manifest: Manifest, schema: pa.Schema, transform
+        self,
+        units,
+        cycle_id: str,
+        manifest: Manifest,
+        schema: pa.Schema,
+        transform,
+        merge_key_alias: str | None,
     ) -> list[dict]:
         """Write one change batch with the merge mode's writer: direct
         per-task deltas for ``mor``, the owner-actor pool for ``cow``.
         Both run one task per read unit, applying *transform* to what it
-        reads."""
+        reads, and store no ``arcane_merge_key`` under *merge_key_alias*."""
         sink = self.ctx.sink
         if sink.merge_mode not in ("mor", "cow"):
             raise ValueError(
@@ -284,6 +312,7 @@ class StreamRunner:
                 bounds_cols=tuple(dict.fromkeys(
                     _p_source_columns(self._cluster_by) + tuple(sink.sorted_by)
                 )),
+                merge_key_alias=merge_key_alias,
             )
         # a CoW rewrite must fold any pending deltas too (it replaces the
         # partition's visible state wholesale)
@@ -303,6 +332,7 @@ class StreamRunner:
             precombine_threshold=sink.precombine_dup_threshold,
             cluster_by=self._cluster_by,
             cluster_min_rows=sink.cluster_min_rows,
+            merge_key_alias=merge_key_alias,
         )
 
     # -------------------------------------------------------------- bootstrap
@@ -313,6 +343,7 @@ class StreamRunner:
         the reference's fail-fast negative test (StreamRunner.scala:167-185).
         """
         manifest = self.log.require_watermark()
+        _check_merge_key_alias(manifest, self._transform.merge_key_alias)
         swept = self.log.sweep_uncommitted(
             grace_seconds=self.ctx.sink.sweep_grace_seconds
         )
@@ -461,9 +492,10 @@ class StreamRunner:
 
         # --- M1/M2: partitioned LWW merge ----------------------------------
         cycle_id = f"{manifest.version + 1:012d}-{uuid.uuid4().hex[:8]}"
+        alias = self._merge_key_alias(manifest, file_schema)
         t_merge = time.perf_counter()
         stats = self.retry.call(
-            self._merge, units, cycle_id, manifest, unified, transform,
+            self._merge, units, cycle_id, manifest, unified, transform, alias,
             backfill=self.ctx.stream_mode.backfill,
         )
         merge_s = time.perf_counter() - t_merge
@@ -471,6 +503,7 @@ class StreamRunner:
         # --- K1/K2: atomic manifest + watermark commit ---------------------
         nxt = manifest.next()
         nxt.schema = unified
+        nxt.merge_key_alias = alias
         nxt.watermark = hi
         metrics = fold_stats_into_manifest(nxt, stats, cycle_id)
         metrics.update(
@@ -620,16 +653,19 @@ class StreamRunner:
         behavior = ctx.stream_mode.backfill_behavior.lower()
 
         files = snapshot_files(ctx.source.snapshot_dir)
+        source = schemas_of_parquet_files(files)
+        alias = self._merge_key_alias(manifest, source)
         if behavior == "merge":
             # snapshot rows as synthetic insert events via the normal path
-            unified = self._overwrite_schema(files, manifest)
+            unified = self._overwrite_schema(source, manifest)
             cycle_id = f"backfill-{backfill_id}"
             stats = self.retry.call(
                 self._merge, self._plan(files), cycle_id, manifest, unified,
-                _AsInsertEvents(stamp, self._transform), backfill=True,
+                _AsInsertEvents(stamp, self._transform), alias, backfill=True,
             )
             nxt = manifest.next()
             nxt.schema = unified
+            nxt.merge_key_alias = alias
             nxt.watermark = max(stamp, manifest.watermark)
             metrics = fold_stats_into_manifest(nxt, stats, cycle_id)
             metrics["backfill"] = {"id": backfill_id, "behavior": "merge"}
@@ -664,7 +700,7 @@ class StreamRunner:
             state = json.loads(fs.read_bytes(state_rel))
             stamp = state["at_version"]
 
-        overwrite_schema = self._overwrite_schema(files, manifest)  # loop-invariant
+        overwrite_schema = self._overwrite_schema(source, manifest)  # loop-invariant
         for si, shard_file in enumerate(files):
             key = str(si)
             if key in state["shards"]:
@@ -685,6 +721,7 @@ class StreamRunner:
                 precombine_threshold=ctx.sink.precombine_dup_threshold,
                 cluster_by=self._cluster_by,
                 cluster_min_rows=ctx.sink.cluster_min_rows,
+                merge_key_alias=alias,
             )
             state["shards"][key] = {
                 str(int(s["_pid"])): json.loads(s["files_json"]) for s in stats
@@ -714,6 +751,7 @@ class StreamRunner:
         # the flip replaces every file, so file bounds start fresh too
         nxt.file_stats = dict(state.get("file_stats", {}))
         nxt.schema = overwrite_schema
+        nxt.merge_key_alias = alias
         nxt.watermark = max(stamp, manifest.watermark)
         nxt.metrics = {
             "backfill": {
@@ -799,23 +837,37 @@ class StreamRunner:
         manifest = self.log.latest()
         predicate = (pc.field(VERSION_COL) > lo) & (pc.field(VERSION_COL) <= hi)
         cycle_id = f"replay-{tag}"
+        alias = self._merge_key_alias(manifest, schemas_of_parquet_files(paths))
         stats = self._merge(
             self._plan(paths, predicate), cycle_id, manifest, manifest.schema,
-            self._transform,
+            self._transform, alias,
         )
         nxt = manifest.next()
+        nxt.merge_key_alias = alias
         metrics = fold_stats_into_manifest(nxt, stats, cycle_id)
         metrics["replay_range"] = [lo, hi]
         nxt.metrics = metrics
         self.log.commit(nxt, expect_version=manifest.version)
 
-    def _overwrite_schema(self, files: list[str], manifest: Manifest) -> pa.Schema:
-        batch_schema = transformed_schema(schemas_of_parquet_files(files), self.ctx)
+    def _overwrite_schema(self, source: pa.Schema, manifest: Manifest) -> pa.Schema:
+        batch_schema = transformed_schema(source, self.ctx)
         for extra, typ in ((VERSION_COL, pa.int64()), (OP_COL, pa.string())):
             if extra not in [f.name for f in batch_schema]:
                 batch_schema = batch_schema.append(pa.field(extra, typ))
         unified, _ = unify_target_schema(manifest.schema, batch_schema)
         return unified
+
+
+def _check_merge_key_alias(manifest: Manifest, alias: str | None) -> None:
+    """Fail fast when *manifest* records a merge-key alias other than
+    *alias* (the one a runner writes under)."""
+    if manifest.merge_key_alias is not None and manifest.merge_key_alias != alias:
+        raise MergeKeyAliasError(
+            f"the table's {MERGE_KEY_COL} is an alias of "
+            f"{manifest.merge_key_alias!r}, fixed for the table's life; this "
+            f"runner's merge key is "
+            + (f"{alias!r}" if alias else "not that column")
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -1088,7 +1140,9 @@ def read_target(
 
     - With no deltas, a unit is one base file, read against the manifest
       schema (a file that predates an additive migration reads the new
-      column as nulls, in the manifest's type and position).
+      column as nulls, in the manifest's type and position; an aliased
+      ``arcane_merge_key`` is derived from its key column, never read
+      as nulls).
     - Merge-on-read: with pending deltas, a unit is one partition's
       resolve (base+deltas → LWW → drop tombstones), so its cost is that
       partition's data only.
@@ -1145,11 +1199,27 @@ def read_target(
             for n in (columns or m.schema.names)
             if not drop_meta or n not in meta_cols
         )
+        alias = m.merge_key_alias
+        # an aliased merge key is no file column: a predicate on it
+        # filters after the read, not in the scan
+        post = alias is not None and where is not None and MERGE_KEY_COL in {t[0] for t in where}
+        read_cols = tuple(dict.fromkeys(keep + tuple(t[0] for t in where))) if post else keep
         # the scan filter may reference columns outside the projection
-        flt = conjunction_expression(where, m.schema) if where is not None else None
-        return units_dataset(
-            [ReadUnit(((fs.full(f), None),), m.schema, keep, flt, filesystem) for f in files]
-        )
+        flt = conjunction_expression(where, m.schema) if where is not None and not post else None
+        units = [
+            ReadUnit(
+                ((fs.full(f), None),), m.schema, read_cols, flt, filesystem,
+                merge_key_from=alias or MERGE_KEY_COL,
+            )
+            for f in files
+        ]
+        if post:
+
+            def read_where(unit: ReadUnit) -> pa.Table:
+                return filter_conjunction(unit.read(), where).select(list(keep))
+
+            units = [functools.partial(read_where, u) for u in units]
+        return units_dataset(units)
 
     # ---- merge-on-read: one resolve unit per partition ----------------
     full_schema = m.schema
@@ -1188,11 +1258,13 @@ def read_target(
         ).empty_table())
     base, deltas = dict(m.partitions), dict(m.deltas)
     preds, kdels = list(m.delete_predicates), dict(m.key_deletes)
+    alias = m.merge_key_alias
 
     def resolve(pid: int) -> pa.Table:
         t = resolve_partition_table(
             target_root, base.get(pid, []), deltas.get(pid, []), read_schema,
             delete_predicates=preds, key_deletes=kdels.get(pid, []),
+            merge_key_alias=alias,
         )
         if where is not None:
             t = filter_conjunction(t, where)
@@ -1219,6 +1291,7 @@ def read_target_table(
             target_root, m.partitions.get(pid, []), m.deltas.get(pid, []), m.schema,
             delete_predicates=m.delete_predicates,
             key_deletes=m.key_deletes.get(pid, []),
+            merge_key_alias=m.merge_key_alias,
         )
         for pid in sorted(m.partition_pids())
     ]
@@ -1281,6 +1354,9 @@ def _change_feed_plan(
     schema = m_to.schema
     out_fields = change_feed_schema_fields(schema, drop_meta, pre_image_columns)
     base_a, deltas_a = dict(m_from.partitions), dict(m_from.deltas)
+    # the alias is fixed once recorded, and files written before the
+    # table recorded it store the same key: the newer snapshot's serves
+    alias = m_to.merge_key_alias
 
     def resolve_pid(pid: int) -> pa.Table:
         if net:
@@ -1294,9 +1370,11 @@ def _change_feed_plan(
                 pre_image_columns=pre_image_columns,
                 delete_predicates=m_from.delete_predicates,
                 key_deletes=m_from.key_deletes.get(pid, []),
+                merge_key_alias=alias,
             )
         return change_feed_all_partition(
-            target_root, appended[pid], schema, drop_meta=drop_meta
+            target_root, appended[pid], schema, drop_meta=drop_meta,
+            merge_key_alias=alias,
         )
 
     return appended, out_fields, resolve_pid
@@ -1400,6 +1478,7 @@ def lookup_keys(
             stats=stats,
             delete_predicates=m.delete_predicates,
             key_deletes=m.key_deletes.get(pid, []),
+            merge_key_alias=m.merge_key_alias,
         )
         if t.num_rows:
             tables.append(t)
@@ -1470,6 +1549,7 @@ def export_snapshot(
     ]
     base, deltas = dict(m.partitions), dict(m.deltas)
     preds, kdels = list(m.delete_predicates), dict(m.key_deletes)
+    alias = m.merge_key_alias
 
     def export_one(pid: int) -> dict:
         import pyarrow.parquet as pq
@@ -1481,6 +1561,7 @@ def export_snapshot(
         t = resolve_partition_table(
             target_root, base.get(pid, []), deltas.get(pid, []), schema,
             delete_predicates=preds, key_deletes=kdels.get(pid, []),
+            merge_key_alias=alias,
         ).select(out_names)
         os.makedirs(part_dir, exist_ok=True)
         tmp = final + f".tmp-{uuid.uuid4().hex}"

@@ -17,7 +17,8 @@ no task:
   row-group runs, and never into units smaller than ``min_rows``.
 
 Table reads need no footers: ``read_target`` builds one unit per file
-from the manifest (file list, ``file_stats`` pruning, manifest schema).
+from the manifest (file list, ``file_stats`` pruning, manifest schema,
+merge-key alias).
 
 The ingest writers (``stages.merge``) run one plain Ray task per unit:
 it reads, transforms and writes, and returns only its stats rows, so
@@ -42,6 +43,11 @@ from dataclasses import dataclass
 
 import pyarrow as pa
 
+from arcane_stream_sqlserver_change_tracking_ray.types import (
+    MERGE_KEY_COL,
+    MergeKeyMissingError,
+)
+
 
 @dataclass(frozen=True)
 class ReadUnit:
@@ -58,6 +64,11 @@ class ReadUnit:
     rows: int | None = None
     #: decoded (uncompressed) bytes, from the footers (None: unknown)
     nbytes: int | None = None
+    #: table reads only: the column ``arcane_merge_key`` comes from —
+    #: itself (every file must store it) or the column the manifest
+    #: records it as an alias of (a stored copy is never decoded).  None
+    #: for change-log reads, where a missing column reads as nulls.
+    merge_key_from: str | None = None
 
     @property
     def paths(self) -> list[str]:
@@ -71,9 +82,26 @@ class ReadUnit:
             fmt.make_fragment(p, filesystem=self.filesystem, row_groups=rgs)
             for p, rgs in self.pieces
         ]
-        ds = pads.FileSystemDataset(frags, self.schema, fmt, self.filesystem)
-        cols = list(self.columns) if self.columns is not None else None
-        return ds.to_table(columns=cols, filter=self.filter)
+        cols = list(self.columns) if self.columns is not None else self.schema.names
+        schema, read, key_from = self.schema, cols, self.merge_key_from
+        if key_from == MERGE_KEY_COL and MERGE_KEY_COL in cols:
+            for frag in frags:
+                if MERGE_KEY_COL not in frag.physical_schema.names:
+                    raise MergeKeyMissingError(
+                        f"{frag.path} stores no {MERGE_KEY_COL} and the table "
+                        "records no merge-key alias"
+                    )
+        elif key_from is not None and MERGE_KEY_COL in cols:
+            # the alias: read its column once, against a schema without
+            # the stored copy, and present it under both names
+            schema = schema.remove(schema.get_field_index(MERGE_KEY_COL))
+            read = list(dict.fromkeys(key_from if c == MERGE_KEY_COL else c for c in cols))
+        ds = pads.FileSystemDataset(frags, schema, fmt, self.filesystem)
+        t = ds.to_table(columns=read, filter=self.filter)
+        if read is cols:
+            return t
+        key, typ = t[key_from], self.schema.field(MERGE_KEY_COL).type
+        return t.append_column(MERGE_KEY_COL, key.cast(typ)).select(cols)
 
 
 def _unified_schema(mds) -> pa.Schema:

@@ -103,9 +103,12 @@ class CompactPartition:
         sorted_by: tuple[str, ...] = (),
         cluster_by: tuple = (),
         cluster_min_rows: int = 0,
+        merge_key_alias: str | None = None,
     ):
         self.target_root = target_root
         self.cycle_id = cycle_id
+        #: the manifest's: the fold neither decodes nor stores a copy
+        self.merge_key_alias = merge_key_alias
         self.partition_files = partition_files
         self.partition_deltas = partition_deltas
         self.schema = schema
@@ -137,6 +140,7 @@ class CompactPartition:
             self.schema,
             delete_predicates=self.delete_predicates,
             key_deletes=self.key_deletes.get(pid, []),
+            merge_key_alias=self.merge_key_alias,
         )
         if self.sorted_by and merged.num_rows:
             merged = merged.sort_by([(c, "ascending") for c in self.sorted_by])
@@ -155,6 +159,7 @@ class CompactPartition:
             bounds_cols=tuple(dict.fromkeys(
                 _cluster_sources(self.cluster_by) + self.sorted_by)),
             bounds_out=fb,
+            merge_key_alias=self.merge_key_alias,
         )
         return {"pid": pid, "files": rels, "file_stats": fb}
 
@@ -185,6 +190,7 @@ def optimize(log: ManifestLog, ctx: StreamContext) -> dict:
         sorted_by=tuple(ctx.sink.sorted_by),
         cluster_by=parse_partition_exprs(tuple(ctx.sink.partition_by)),
         cluster_min_rows=ctx.sink.cluster_min_rows,
+        merge_key_alias=manifest.merge_key_alias,
     )
     res = run_per_cpu(fn, pids)
     nxt = manifest.next()
@@ -246,6 +252,7 @@ def materialize_deletes(log: ManifestLog, ctx: StreamContext) -> dict:
             sorted_by=tuple(ctx.sink.sorted_by),
             cluster_by=parse_partition_exprs(tuple(ctx.sink.partition_by)),
             cluster_min_rows=ctx.sink.cluster_min_rows,
+            merge_key_alias=manifest.merge_key_alias,
         )
         for r in run_per_cpu(fn, pids):
             pid, files = r["pid"], r["files"]
@@ -300,7 +307,9 @@ class RepartitionPartition:
         cluster_by: tuple = (),
         cluster_min_rows: int = 0,
         sorted_by: tuple[str, ...] = (),
+        merge_key_alias: str | None = None,
     ):
+        self.merge_key_alias = merge_key_alias
         self.cluster_by = tuple(cluster_by)
         self.cluster_min_rows = cluster_min_rows
         #: table sort-order property survives the re-bucket (same
@@ -331,6 +340,7 @@ class RepartitionPartition:
             self.partition_files.get(pid, []),
             self.partition_deltas.get(pid, []),
             self.schema,
+            merge_key_alias=self.merge_key_alias,
         )
         if merged.num_rows == 0:
             return []
@@ -361,6 +371,7 @@ class RepartitionPartition:
                 bounds_cols=tuple(dict.fromkeys(
                     _cluster_sources(self.cluster_by) + self.sorted_by)),
                 bounds_out=fb,
+                merge_key_alias=self.merge_key_alias,
             )
             out.append({"pid": int(npid[s]), "files": rels, "file_stats": fb})
         return out
@@ -420,6 +431,7 @@ def repartition_table(log: ManifestLog, ctx: StreamContext, new_partitions: int)
             cluster_by=parse_partition_exprs(tuple(ctx.sink.partition_by)),
             cluster_min_rows=ctx.sink.cluster_min_rows,
             sorted_by=tuple(ctx.sink.sorted_by),
+            merge_key_alias=manifest.merge_key_alias,
         )
         for written in run_per_cpu(fn, pids):
             for r in written:

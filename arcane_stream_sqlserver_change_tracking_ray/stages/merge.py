@@ -64,6 +64,7 @@ from arcane_stream_sqlserver_change_tracking_ray.state.fs import lakefs
 from arcane_stream_sqlserver_change_tracking_ray.types import (
     import_polars,
     MERGE_KEY_COL,
+    MergeKeyMissingError,
     OP_COL,
     OP_DELETE,
     PID_COL,
@@ -156,7 +157,7 @@ def precombine_and_hash(
 
     One unstable ``argsort`` of the hashes gives the duplicate rate;
     the winners come from the same sort through :func:`_hash_lww_rows`,
-    the kernel :func:`lww_winner_mask` uses, so the kept rows equal the
+    the kernel :func:`lww_hash_mask` uses, so the kept rows equal the
     string sort's, ties on (key, version) included.  It falls back to
     :func:`lww_string_sort_mask` on a hash collision, a null key, or a
     null or non-integer version."""
@@ -227,14 +228,32 @@ def _hash_lww_rows(
     return np.sort(np.minimum.reduceat(tied, starts))
 
 
+#: at or below this many rows :func:`lww_winner_mask` picks the winners
+#: with the exact string sort: the hash kernel's fixed cost (~0.5 ms on
+#: one core) is about nine times the string sort's on a few rows
+SMALL_LWW_ROWS = 512
+
+
 def lww_winner_mask(
     t: pa.Table, key_col: str = MERGE_KEY_COL, version_col: str = VERSION_COL
 ) -> np.ndarray:
     """Boolean mask (in ORIGINAL row order) of the max-version row per
     key; ties on (key, version) keep the earliest row.
 
-    The one LWW kernel: it sorts the keys' 64-bit hashes
-    (:func:`_hash_lww_rows`), never the strings, and gathers no payload
+    The one LWW entry point: :func:`lww_string_sort_mask` up to
+    :data:`SMALL_LWW_ROWS` rows (point lookups, change-feed windows,
+    small partitions), :func:`lww_hash_mask` above.  Both pick the same
+    winners."""
+    if t.num_rows <= SMALL_LWW_ROWS:
+        return lww_string_sort_mask(t, key_col, version_col)
+    return lww_hash_mask(t, key_col, version_col)
+
+
+def lww_hash_mask(
+    t: pa.Table, key_col: str = MERGE_KEY_COL, version_col: str = VERSION_COL
+) -> np.ndarray:
+    """:func:`lww_winner_mask` from the keys' sorted 64-bit hashes
+    (:func:`_hash_lww_rows`), never the strings, gathering no payload
     column.  It falls back to :func:`lww_string_sort_mask` on a hash
     collision, a null key, or a null or non-integer version."""
     if t.num_rows <= 1:
@@ -294,15 +313,29 @@ def lww_alive(t: pa.Table, key_col: str = MERGE_KEY_COL) -> tuple[pa.Table, int]
 
 
 def ensure_merge_key_alias(t: pa.Table, key_col: str) -> pa.Table:
-    """Append ``arcane_merge_key`` as a (cast) alias of *key_col* — done at
-    write time only, so the duplicate string never travels through the
-    exchange (see TransformStage's single-key fast path)."""
+    """Append ``arcane_merge_key`` as an in-memory alias of *key_col*
+    (the same buffers for a string key, a cast to string otherwise).
+
+    Writers append it after the exchange, so the duplicate never travels
+    (see TransformStage's single-key fast path); routing, ``bucket``
+    partition expressions, bloom sidecars and write-time bounds see it,
+    but a table whose manifest records the alias does not store it
+    (:func:`stored_columns`).  Readers of such a table append it again
+    (:func:`read_entry_table`)."""
     if key_col == MERGE_KEY_COL or MERGE_KEY_COL in t.column_names:
         return t
     col = t[key_col]
     if not pa.types.is_string(col.type):
         col = pc.cast(col, pa.string())
     return t.append_column(MERGE_KEY_COL, col)
+
+
+def stored_columns(t: pa.Table, merge_key_alias: str | None) -> pa.Table:
+    """The columns of *t* a data file stores: all but the in-memory
+    ``arcane_merge_key`` when the table records it as an alias."""
+    if merge_key_alias is None or MERGE_KEY_COL not in t.column_names:
+        return t
+    return t.drop_columns([MERGE_KEY_COL])
 
 
 def gather_kept(batch: pa.Table, keep: np.ndarray, order: np.ndarray) -> pa.Table:
@@ -459,11 +492,14 @@ def write_partition_files(
     cluster_min_rows: int = 0,
     bounds_cols: tuple[str, ...] = (),
     bounds_out: dict | None = None,
+    merge_key_alias: str | None = None,
 ) -> tuple[list[str], int]:
     """Write one partition's rows under the attempt-unique cycle dir;
-    returns (relative paths, bytes).  Shared by the CoW rewrite, the MoR
-    delta writer and compaction.  *bloom_columns* adds per-file bloom
-    sidecars for point-lookup file skipping (E2).
+    returns (relative paths, bytes).  Shared by the CoW rewrite,
+    compaction, repartitioning and key-delete files.  *bloom_columns*
+    adds per-file bloom sidecars for point-lookup file skipping (E2).
+    With *merge_key_alias* the files do not store ``arcane_merge_key``
+    (:func:`stored_columns`); sidecars and bounds still see it.
 
     *cluster_by* (parsed ``PartitionExpr`` tuple — the E2
     ``partitionExpressions`` value dimension, reference
@@ -479,7 +515,7 @@ def write_partition_files(
         return rels, 0
     fs = lakefs(target_root)
 
-    use_dictionary = dictionary_columns(table)
+    use_dictionary = dictionary_columns(stored_columns(table, merge_key_alias))
     runs: list[pa.Table] = [table]
     bcols: tuple[str, ...] = tuple(bounds_cols)
     if cluster_by:
@@ -498,7 +534,7 @@ def write_partition_files(
             chunk = run.slice(off, max_rows_per_file)
             rel = f"cycles/{cycle_id}/{prefix}-{pid:05d}-{uuid.uuid4().hex}.parquet"
             total += fs.write_table(
-                chunk,
+                stored_columns(chunk, merge_key_alias),
                 rel,
                 durable=fsync,
                 compression=compression,
@@ -536,9 +572,17 @@ def read_entry_table(
     wanted: set[str] | None = None,
     use_threads: bool = True,
     rows: np.ndarray | None = None,
+    merge_key_alias: str | None = None,
 ) -> pa.Table:
     """Read a manifest file entry (fragment-aware): the columns of the
     file that are in *wanted* (all when None).
+
+    With *merge_key_alias* (the manifest's), ``arcane_merge_key`` is the
+    alias column under that name, appended without a copy for a string
+    key; a stored copy (files written before the table recorded the
+    alias) is never decoded.  Without one, a file that lacks the stored
+    column while *wanted* names it raises :class:`MergeKeyMissingError`
+    instead of reading null keys.
 
     With *rows* — ascending row positions within the entry — decode only
     the row groups that hold them and return just those rows, in order
@@ -547,9 +591,34 @@ def read_entry_table(
     never rewritten, so each is parsed once per process."""
     rel, rgs = split_entry(entry)
     pf = lakefs(target_root).parquet_file(rel)
-    cols = (
-        [c for c in pf.schema_arrow.names if c in wanted] if wanted is not None else None
-    )
+    names = pf.schema_arrow.names
+    if merge_key_alias is None:
+        if wanted is not None and MERGE_KEY_COL in wanted and MERGE_KEY_COL not in names:
+            raise MergeKeyMissingError(
+                f"{rel} stores no {MERGE_KEY_COL} and the table records no merge-key alias"
+            )
+        cols = [c for c in names if c in wanted] if wanted is not None else None
+        return _read_rows(pf, rgs, cols, use_threads, rows)
+    want_key = wanted is None or MERGE_KEY_COL in wanted
+    if want_key and merge_key_alias not in names:
+        raise MergeKeyMissingError(f"{rel} lacks {merge_key_alias}, which {MERGE_KEY_COL} aliases")
+    cols = [
+        c for c in names
+        if c != MERGE_KEY_COL
+        and (wanted is None or c in wanted or (want_key and c == merge_key_alias))
+    ]
+    t = _read_rows(pf, rgs, cols, use_threads, rows)
+    if not want_key:
+        return t
+    t = ensure_merge_key_alias(t, merge_key_alias)
+    if wanted is None or merge_key_alias in wanted:
+        return t
+    return t.drop_columns([merge_key_alias])
+
+
+def _read_rows(pf, rgs, cols, use_threads: bool, rows: np.ndarray | None) -> pa.Table:
+    """*cols* of the row groups *rgs* (all when None) of *pf*; with
+    *rows*, only those rows, decoding only the groups that hold them."""
     if rows is None:
         if rgs is None:
             return pf.read(columns=cols, use_threads=use_threads)
@@ -760,6 +829,7 @@ def resolve_partition_table(
     stats: dict | None = None,
     delete_predicates=None,
     key_deletes=None,
+    merge_key_alias: str | None = None,
 ) -> pa.Table:
     """Merge-on-read resolve of ONE partition: LWW across base + deltas,
     tombstones dropped.  Partitions are key-disjoint, so this is exact.
@@ -778,7 +848,8 @@ def resolve_partition_table(
     every path: entry order, then row order within the entry.
     ``stats["files_read"]`` counts the entries opened (once each, in the
     key phase) and ``stats["files_skipped"]`` those the bloom sidecars
-    ruled out."""
+    ruled out.  *merge_key_alias* is the manifest's (see
+    :func:`read_entry_table`)."""
     fs = lakefs(target_root)
     entries = []
     for entry in list(base_files) + list(delta_files):
@@ -798,13 +869,16 @@ def resolve_partition_table(
         return schema.empty_table()
     if key_filter is not None and delta_files:
         combined = _resolve_key_first(
-            target_root, entries, schema, key_filter, key_col, use_threads
+            target_root, entries, schema, key_filter, key_col, use_threads, merge_key_alias
         )
     else:
         wanted = set(schema.names)
         tables = []
         for entry in entries:
-            t = read_entry_table(target_root, entry, wanted, use_threads=use_threads)
+            t = read_entry_table(
+                target_root, entry, wanted, use_threads=use_threads,
+                merge_key_alias=merge_key_alias,
+            )
             if key_filter is not None:
                 t = t.filter(pc.is_in(t[key_col], value_set=key_filter))
             tables.append(cast_to_schema(t, schema))
@@ -819,11 +893,6 @@ def resolve_partition_table(
     return combined
 
 
-#: narrow concats up to this many rows pick their LWW winners with the
-#: string sort (faster than the hash kernel below ~2k rows on one core)
-SMALL_LWW_ROWS = 512
-
-
 def _resolve_key_first(
     target_root: str,
     entries: list[str],
@@ -831,14 +900,17 @@ def _resolve_key_first(
     key_filter: pa.Array,
     key_col: str,
     use_threads: bool,
+    merge_key_alias: str | None = None,
 ) -> pa.Table:
     """``lww_alive`` over the key-filtered rows of *entries*, decoding
     the payload of the live winners only.
 
     1. **Key phase.**  Read the LWW columns (*key_col*,
-       ``arcane_merge_key``, version and op — those in *schema*) of every
-       entry, keep each entry's key-matching row positions, and pick the
-       live winners (LWW, tombstones out) over the narrow concat.
+       ``arcane_merge_key``, the column it aliases, version and op —
+       those in *schema*) of every entry, keep each entry's key-matching
+       row positions, and pick the live winners (LWW, tombstones out)
+       over the narrow concat.  An aliased merge key decodes one string
+       column, not two.
     2. **Payload phase.**  Read the rest of *schema* only from entries
        holding a live winner, only the row groups holding it, ``take``
        those rows and join them to the narrow columns.
@@ -847,13 +919,15 @@ def _resolve_key_first(
     key column but at most one entry's ``html``/``text``; an absent or
     deleted key decodes no payload at all.  Rows keep the order
     ``lww_alive`` gives over the key-filtered concat."""
-    narrow = pa.schema(
-        [f for f in schema if f.name in (key_col, MERGE_KEY_COL, VERSION_COL, OP_COL)]
-    )
+    lww_cols = (key_col, MERGE_KEY_COL, merge_key_alias, VERSION_COL, OP_COL)
+    narrow = pa.schema([f for f in schema if f.name in lww_cols])
     payload = pa.schema([f for f in schema if f.name not in narrow.names])
     hits, tables = [], []
     for entry in entries:
-        t = read_entry_table(target_root, entry, set(narrow.names), use_threads=use_threads)
+        t = read_entry_table(
+            target_root, entry, set(narrow.names), use_threads=use_threads,
+            merge_key_alias=merge_key_alias,
+        )
         rows = np.flatnonzero(pc.is_in(t[key_col], value_set=key_filter).to_numpy())
         hits.append(rows)
         if len(rows):
@@ -861,11 +935,7 @@ def _resolve_key_first(
     if not tables:
         return schema.empty_table()
     keys = pa.concat_tables(tables)
-    # the exact string sort picks the same winners as the hash kernel and,
-    # on the few rows per probed key a lookup gathers, costs a tenth of
-    # the hash kernel's fixed ~0.5 ms
-    lww = lww_string_sort_mask if keys.num_rows <= SMALL_LWW_ROWS else lww_winner_mask
-    alive = lww(keys) & ~_is_delete(keys)
+    alive = lww_winner_mask(keys) & ~_is_delete(keys)
     keys = keys.filter(pa.array(alive))
     if not payload:
         return keys
@@ -875,7 +945,8 @@ def _resolve_key_first(
         off += len(rows)
         if len(live):
             t = read_entry_table(
-                target_root, entry, set(payload.names), use_threads=use_threads, rows=live
+                target_root, entry, set(payload.names), use_threads=use_threads, rows=live,
+                merge_key_alias=merge_key_alias,
             )
             parts.append(cast_to_schema(t, payload))
     body = pa.concat_tables(parts) if parts else payload.empty_table()
@@ -911,6 +982,7 @@ def change_feed_partition(
     pre_image_columns: tuple[str, ...] = (),
     delete_predicates=None,
     key_deletes=None,
+    merge_key_alias: str | None = None,
 ) -> pa.Table:
     """NET row-level changes of ONE partition between two snapshots —
     the change-data-feed resolve (SQL Server ``CHANGETABLE(CHANGES t,
@@ -939,7 +1011,9 @@ def change_feed_partition(
     classification, so they cost no extra reads."""
     wanted = set(schema.names)
     tables = [
-        cast_to_schema(read_entry_table(target_root, e, wanted), schema)
+        cast_to_schema(
+            read_entry_table(target_root, e, wanted, merge_key_alias=merge_key_alias), schema
+        )
         for e in appended_entries
     ]
     tables = [t for t in tables if t.num_rows]
@@ -969,6 +1043,7 @@ def change_feed_partition(
         bloom_column=key_col,
         delete_predicates=delete_predicates,
         key_deletes=key_deletes,
+        merge_key_alias=merge_key_alias,
     )
     prior_keys = prior[key_col].combine_chunks()
     existed = pc.is_in(changes[key_col], value_set=prior_keys)
@@ -996,6 +1071,7 @@ def change_feed_all_partition(
     appended_entries: list[str],
     schema: pa.Schema,
     drop_meta: bool = True,
+    merge_key_alias: str | None = None,
 ) -> pa.Table:
     """ALL row-level changes of one partition appended in ``(from, to]``
     — the per-change history as persisted (``cdc.fn_cdc_get_all_changes``
@@ -1008,7 +1084,9 @@ def change_feed_all_partition(
     required (same knob the exact cycle counters need)."""
     wanted = set(schema.names)
     tables = [
-        cast_to_schema(read_entry_table(target_root, e, wanted), schema)
+        cast_to_schema(
+            read_entry_table(target_root, e, wanted, merge_key_alias=merge_key_alias), schema
+        )
         for e in appended_entries
     ]
     tables = [t for t in tables if t.num_rows]
@@ -1186,6 +1264,7 @@ def apply_change_batch_direct(
     max_rows_per_file: int = 1_000_000,
     precombine_threshold: float = PRECOMBINE_DUP_THRESHOLD,
     bounds_cols: tuple[str, ...] = (),
+    merge_key_alias: str | None = None,
 ) -> list[dict]:
     """Merge-on-read WITHOUT an exchange: one task per read unit
     (``run_units``) reads it, applies *transform* (the caller's
@@ -1195,6 +1274,8 @@ def apply_change_batch_direct(
     ``<file>#rg=<a>-<b>`` (see ``split_entry``).  So one delta file per
     unit, and the tasks return only their stats rows (one per pid).
     *units* may also be a ``ray.data.Dataset`` (one unit per block).
+    With *merge_key_alias* the delta files do not store
+    ``arcane_merge_key`` (:func:`stored_columns`).
 
     *bounds_cols* (the partition_by source columns): whole-file
     write-time bounds are recorded for manifest.file_stats so the
@@ -1236,13 +1317,15 @@ def apply_change_batch_direct(
         b = gather_kept(batch, keep, order)
         pids = pid[order]
         b = cast_to_schema(ensure_merge_key_alias(b, key_col), schema)
+        stored = stored_columns(b, merge_key_alias)
         bounds = np.r_[np.flatnonzero(np.r_[True, pids[1:] != pids[:-1]]), len(pids)]
         deleted = np.r_[0, np.cumsum(_is_delete(b))]
         fs = lakefs(target_root)
         rel = f"cycles/{cycle_id}/delta-{uuid.uuid4().hex}.parquet"
         rows_stat: list[dict] = []
         writer = fs.parquet_writer(
-            rel, b.schema, compression=compression, use_dictionary=dictionary_columns(b)
+            rel, stored.schema, compression=compression,
+            use_dictionary=dictionary_columns(stored),
         )
         try:
             rg = 0
@@ -1250,6 +1333,7 @@ def apply_change_batch_direct(
                 sl = b.slice(s, e - s)
                 if sorted_by:
                     sl = sl.sort_by([(c, "ascending") for c in sorted_by])
+                sl = stored_columns(sl, merge_key_alias)
                 first_rg = rg
                 for off in range(0, sl.num_rows, max_rows_per_file):
                     chunk = sl.slice(off, max_rows_per_file)
@@ -1373,8 +1457,11 @@ def _make_owner_actor():
             key_col: str = MERGE_KEY_COL,
             cluster_by: tuple = (),
             cluster_min_rows: int = 0,
+            merge_key_alias: str | None = None,
         ) -> list[dict]:
-            """Merge buffered deltas into owned partitions, copy-on-write."""
+            """Merge buffered deltas into owned partitions, copy-on-write.
+            With *merge_key_alias* the partition files neither store
+            ``arcane_merge_key`` nor have it decoded."""
             # NOTE: no package imports inside worker-executed code — when the
             # driver ships this class by value (foreign-cwd drivers,
             # __ray_entry__ registers the package with ray.cloudpickle), a
@@ -1395,7 +1482,8 @@ def _make_owner_actor():
                     existing.append(
                         cast_to_schema(
                             read_entry_table(
-                                self.target_root, entry, use_threads=False
+                                self.target_root, entry, set(schema.names),
+                                use_threads=False, merge_key_alias=merge_key_alias,
                             ),
                             schema,
                         )
@@ -1416,6 +1504,7 @@ def _make_owner_actor():
                     bounds_cols=tuple(dict.fromkeys(
                         source_columns(cluster_by) + tuple(sorted_by))),
                     bounds_out=fb,
+                    merge_key_alias=merge_key_alias,
                 )
                 out.append(
                     {
@@ -1450,7 +1539,9 @@ class ActorMergePool:
     object transfers.  *units* may also be a ``ray.data.Dataset``.
 
     Pass ``partition_files={}`` to write a fresh base layout that
-    ignores the current target (overwrite backfill, ephemeral tables).
+    ignores the current target (overwrite backfill, ephemeral tables),
+    and the manifest's *merge_key_alias* to read and write partition
+    files without a stored ``arcane_merge_key``.
     """
 
     def __init__(
@@ -1485,6 +1576,7 @@ class ActorMergePool:
         precombine_threshold: float = PRECOMBINE_DUP_THRESHOLD,
         cluster_by: tuple = (),
         cluster_min_rows: int = 0,
+        merge_key_alias: str | None = None,
     ) -> list[dict]:
         import ray
 
@@ -1520,7 +1612,7 @@ class ActorMergePool:
         flush_refs = [
             a.flush.remote(
                 cycle_id, partition_files, schema, sorted_by, key_col,
-                cluster_by, cluster_min_rows,
+                cluster_by, cluster_min_rows, merge_key_alias,
             )
             for a in actors
         ]

@@ -83,6 +83,17 @@ class Manifest:
     #: manifests missing the field); "polars" = ahash over Arrow buffers,
     #: ~30x faster, the default for newly created tables.
     key_hash_algo: str = "pandas"
+    #: the source column ``arcane_merge_key`` is an alias of (e.g.
+    #: ``"url"``), or None.  Set by the runner at commit when the merge
+    #: key is one source column; like ``key_hash_algo`` it is part of the
+    #: table format and fixed for the table's life.  Data files written
+    #: under it do not store ``arcane_merge_key`` (Delta Lake keeps
+    #: partition values in its log, not in the Parquet files, the same
+    #: way); every reader derives it from the alias column and never
+    #: decodes a stored copy.  None on composite-key tables, on sources
+    #: that ship their own ``arcane_merge_key`` and on tables committed
+    #: before the field existed: their files store the column.
+    merge_key_alias: str | None = None
     #: committed merge-on-read equality-delete files (K9b, the
     #: GDPR-by-key path): pid -> list of ``{"file": rel, "watermark": W,
     #: "cycle": id}``.  Each file holds the to-delete merge keys routed
@@ -129,6 +140,8 @@ class Manifest:
             "key_deletes": self.key_deletes,
             "delete_predicates": self.delete_predicates,
         }
+        if self.merge_key_alias is not None:
+            doc["merge_key_alias"] = self.merge_key_alias
         if self.file_stats:
             doc["file_stats"] = {k: self.file_stats[k] for k in sorted(self.file_stats)}
         return json.dumps(doc, indent=1, sort_keys=True)
@@ -152,6 +165,7 @@ class Manifest:
             metrics=dict(doc.get("metrics", {})),
             stats=dict(doc.get("stats", {})),
             key_hash_algo=doc.get("key_hash_algo", "pandas"),
+            merge_key_alias=doc.get("merge_key_alias"),
             key_deletes={
                 int(k): [
                     {
@@ -206,6 +220,7 @@ class Manifest:
             metrics={},
             stats=dict(self.stats),
             key_hash_algo=self.key_hash_algo,
+            merge_key_alias=self.merge_key_alias,
             key_deletes={k: [dict(e) for e in v] for k, v in self.key_deletes.items()},
             delete_predicates=[dict(p) for p in self.delete_predicates],
             file_stats={k: {c: list(b) for c, b in v.items()} for k, v in self.file_stats.items()},

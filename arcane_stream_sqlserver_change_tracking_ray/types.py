@@ -5,7 +5,11 @@ Mirrors the reference's data model (SURVEY.md §1):
 - essential / pseudo columns ``sys_change_version``,
   ``sys_change_operation``, ``arcane_merge_key`` — the CRD's mandatory
   ``essentialFields`` (reference
-  ``.helm/templates/crd-microsoft-sql-server-stream.yaml:417-421``),
+  ``.helm/templates/crd-microsoft-sql-server-stream.yaml:417-421``).
+  ``arcane_merge_key`` is always a column of the table's logical schema,
+  but when it is an alias of one source column (the manifest's
+  ``merge_key_alias``, e.g. ``url``) data files do not store it: readers
+  derive it from that column,
 - the ``ArcaneType`` scalar set mapped onto Arrow types (reference
   ``src/test/scala/tests/integration/Fixtures.scala:4,17-23`` shows
   ``IntType``/``StringType``; the rest is the standard JDBC scalar set,
@@ -27,6 +31,13 @@ MERGE_KEY_COL = "arcane_merge_key"
 
 #: columns a field-selection rule may never drop
 ESSENTIAL_COLS: tuple[str, ...] = (VERSION_COL, OP_COL, MERGE_KEY_COL)
+
+
+class MergeKeyMissingError(ValueError):
+    """A table data file lacks the stored ``arcane_merge_key`` and the
+    manifest records no alias to derive it from.  Reading the file
+    against the table schema would give null merge keys, which LWW
+    groups as one key, so the read fails instead."""
 
 #: internal routing column added before the partitioned merge
 PID_COL = "_pid"

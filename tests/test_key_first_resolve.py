@@ -206,8 +206,8 @@ def recorded_reads():
     reads = []
     real = merge_mod.read_entry_table
 
-    def wrapper(target_root, entry, wanted=None, use_threads=True, rows=None):
-        t = real(target_root, entry, wanted, use_threads=use_threads, rows=rows)
+    def wrapper(target_root, entry, wanted=None, use_threads=True, rows=None, **kw):
+        t = real(target_root, entry, wanted, use_threads=use_threads, rows=rows, **kw)
         reads.append((entry, frozenset(t.column_names)))
         return t
 

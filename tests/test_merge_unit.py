@@ -5,9 +5,11 @@ import pyarrow as pa
 import pytest
 
 from arcane_stream_sqlserver_change_tracking_ray.stages.merge import (
+    SMALL_LWW_ROWS,
     drop_tombstones,
     hash_keys,
     lww_alive,
+    lww_hash_mask,
     lww_string_sort_mask,
     lww_table,
     lww_winner_mask,
@@ -94,7 +96,7 @@ def _lww_rows(t):
 
 def test_lww_winner_mask_on_zero_rows():
     """Regression: the kernel once raised IndexError on an empty table."""
-    for mask_fn in (lww_winner_mask, lww_string_sort_mask):
+    for mask_fn in (lww_winner_mask, lww_hash_mask, lww_string_sort_mask):
         mask = mask_fn(_t([]), MERGE_KEY_COL)
         assert mask.dtype == bool and mask.shape == (0,)
 
@@ -112,7 +114,12 @@ def test_precombine_exact_under_forced_hash_collision(monkeypatch):
     keep, h = precombine_and_hash(t, MERGE_KEY_COL, "polars", threshold=0.0)
     assert keep.tolist() == _lww_rows(t) == [1, 2, 4]
     assert len(h) == 3
-    assert np.flatnonzero(lww_winner_mask(t)).tolist() == [1, 2, 4]
+    assert np.flatnonzero(lww_hash_mask(t)).tolist() == [1, 2, 4]
+    # above the small-input switch the read-side mask runs the hash kernel
+    # and falls back too
+    big = pa.concat_tables([t] * (SMALL_LWW_ROWS // t.num_rows + 1))
+    assert big.num_rows > SMALL_LWW_ROWS
+    assert np.flatnonzero(lww_winner_mask(big)).tolist() == _lww_rows(big) == [1, 2, 4]
 
 
 def test_precombine_null_version_falls_back_to_string_sort(monkeypatch):
@@ -123,17 +130,41 @@ def test_precombine_null_version_falls_back_to_string_sort(monkeypatch):
     monkeypatch.setattr(
         merge_mod, "lww_string_sort_mask", lambda *a, **kw: calls.append(1) or real(*a, **kw)
     )
+    # above SMALL_LWW_ROWS, so only a real fallback reaches the string sort
+    pad = SMALL_LWW_ROWS
     t = pa.table(
         {
-            MERGE_KEY_COL: ["a", "a", "b", "b"],
-            VERSION_COL: pa.array([1, None, 2, 5], pa.int64()),
-            OP_COL: ["I", "U", "I", "U"],
+            MERGE_KEY_COL: ["a", "a", "b", "b"] + [f"z{i}" for i in range(pad)],
+            VERSION_COL: pa.array([1, None, 2, 5] + [1] * pad, pa.int64()),
+            OP_COL: ["I", "U", "I", "U"] + ["U"] * pad,
         }
     )
     keep, h = precombine_and_hash(t, MERGE_KEY_COL, "polars", threshold=0.0)
     assert calls, "a null version must take the string-sort path"
-    assert keep.tolist() == np.flatnonzero(real(t, MERGE_KEY_COL)).tolist() == [0, 3]
+    want = [0, 3] + list(range(4, 4 + pad))
+    assert keep.tolist() == np.flatnonzero(real(t, MERGE_KEY_COL)).tolist() == want
     assert (h == hash_keys(t[MERGE_KEY_COL], "polars")[keep]).all()
+    calls.clear()
+    assert np.flatnonzero(lww_winner_mask(t)).tolist() == want
+    assert calls, "the read-side mask falls back on a null version too"
+
+
+def test_small_inputs_skip_the_hash_kernel(monkeypatch):
+    """At or below SMALL_LWW_ROWS the winners come from the string sort
+    alone, so lookups and small partitions do not pay the hash kernel's
+    fixed cost; above it the hash kernel runs."""
+    import arcane_stream_sqlserver_change_tracking_ray.stages.merge as merge_mod
+
+    hashed = []
+    real = merge_mod.hash_keys
+    monkeypatch.setattr(
+        merge_mod, "hash_keys", lambda *a, **kw: hashed.append(1) or real(*a, **kw)
+    )
+    for n, uses_hash in ((4, False), (SMALL_LWW_ROWS, False), (SMALL_LWW_ROWS + 1, True)):
+        hashed.clear()
+        t = _t([(f"k{i % 7}", i, "U") for i in range(n)])
+        assert np.flatnonzero(lww_winner_mask(t)).tolist() == _lww_rows(t)
+        assert bool(hashed) == uses_hash, n
 
 
 def test_lww_alive_is_one_filter_of_lww_and_tombstones():

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from arcane_stream_sqlserver_change_tracking_ray.stages.merge import (
     drop_tombstones,
     hash_keys,
+    SMALL_LWW_ROWS,
+    lww_hash_mask,
     lww_string_sort_mask,
     lww_table,
     lww_winner_mask,
@@ -121,9 +123,31 @@ def test_precombine_keeps_the_string_sort_winners(events, algo, nulls):
     )
     want = np.flatnonzero(lww_string_sort_mask(t, MERGE_KEY_COL)).tolist()
     assert np.flatnonzero(lww_winner_mask(t, MERGE_KEY_COL)).tolist() == want
+    assert np.flatnonzero(lww_hash_mask(t, MERGE_KEY_COL)).tolist() == want
     keep, h = precombine_and_hash(t, MERGE_KEY_COL, algo, threshold=0.0)
     assert keep.tolist() == want
     assert (h == hash_keys(t[MERGE_KEY_COL], algo)[keep]).all()
+
+
+@pytest.mark.parametrize("n", [SMALL_LWW_ROWS - 1, SMALL_LWW_ROWS, SMALL_LWW_ROWS + 1])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_keys=st.integers(1, 600), n_versions=st.integers(1, 6))
+def test_lww_kernels_agree_at_the_small_input_switch(n, seed, n_keys, n_versions):
+    """On either side of SMALL_LWW_ROWS the string sort and the hash
+    kernel keep the same rows, ties on (key, version) included, so the
+    switch inside ``lww_winner_mask`` never changes a winner."""
+    rng = np.random.default_rng(seed)
+    t = pa.table(
+        {
+            MERGE_KEY_COL: pa.array(
+                [f"k{k}" for k in rng.integers(0, n_keys, n)], pa.string()
+            ),
+            VERSION_COL: pa.array(rng.integers(0, n_versions, n), pa.int64()),
+        }
+    )
+    want = lww_string_sort_mask(t, MERGE_KEY_COL)
+    assert (lww_hash_mask(t, MERGE_KEY_COL) == want).all()
+    assert (lww_winner_mask(t, MERGE_KEY_COL) == want).all()
 
 
 @settings(max_examples=50, deadline=None)
