@@ -21,10 +21,19 @@ from typing import Any
 
 logger = logging.getLogger("arcane_ray.config")
 
-#: sink settings that no longer exist: the merge mode alone picks the
-#: writer.  Specs that still set them parse; from_dict drops the keys
-#: with one warning.
-_RETIRED_SINK_SETTINGS = frozenset({"merge_strategy", "merge_actors", "exchange_compression"})
+#: settings that no longer exist, per section, with the reason the
+#: warning gives.  Specs that still set them parse; from_dict drops the
+#: keys with one warning.
+_RETIRED_SETTINGS = {
+    "sink": (
+        frozenset({"merge_strategy", "merge_actors", "exchange_compression"}),
+        "merge_mode alone selects the writer",
+    ),
+    "throughput": (
+        frozenset({"advised_burst"}),
+        "the advised_rate token bucket has no burst",
+    ),
+}
 
 
 @dataclass
@@ -202,7 +211,6 @@ class ThroughputSettings:
     grouping_interval_seconds: float = 15.0
     #: token-bucket: advised events/sec admitted into the tailer; 0 = unlimited
     advised_rate: float = 0.0
-    advised_burst: int = 0
     # -- throughput shaper (reference throughput.shaperImpl, CRD
     #    ...stream.yaml:319-396): "static" = the token bucket above;
     #    "memoryBound" = additionally cap each poll's admitted segments by
@@ -310,15 +318,14 @@ class StreamContext:
             return dc_cls(**kwargs)
 
         spec = {cls._snake(k): v for k, v in spec.items()}
-        sink = spec.get("sink")
-        if sink:
-            retired = sorted(k for k in sink if cls._snake(k) in _RETIRED_SINK_SETTINGS)
+        for section, (names, why) in _RETIRED_SETTINGS.items():
+            data = spec.get(section) or {}
+            retired = sorted(k for k in data if cls._snake(k) in names)
             if retired:
                 logger.warning(
-                    "ignoring retired sink setting(s) %s: merge_mode alone "
-                    "selects the writer", ", ".join(retired),
+                    "ignoring retired %s setting(s) %s: %s", section, ", ".join(retired), why
                 )
-                spec["sink"] = {k: v for k, v in sink.items() if k not in retired}
+                spec[section] = {k: v for k, v in data.items() if k not in retired}
         known = {
             "source", "field_selection", "staging", "sink",
             "stream_mode", "throughput", "maintenance", "observability",

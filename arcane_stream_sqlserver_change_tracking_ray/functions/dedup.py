@@ -222,13 +222,6 @@ def simhash_signatures(texts, k_shingle: int = 3, hash_impl: str = "polars") -> 
     return out
 
 
-def jaccard_of_sets(a: np.ndarray, b: np.ndarray) -> float:
-    ua, ub = np.unique(a), np.unique(b)
-    inter = np.intersect1d(ua, ub, assume_unique=True).size
-    union = ua.size + ub.size - inter
-    return inter / union if union else 1.0
-
-
 # ---------------------------------------------------------------------------
 # MinHash + LSH near-dup pipeline
 # ---------------------------------------------------------------------------

@@ -774,10 +774,10 @@ class StreamRunner:
         merge keys appearing in more than one row.  The cow writer
         rank-1-collapses duplicates WITHIN a shard, so any survivor
         duplicate is a cross-shard overlap — a violated disjointness
-        contract that would ship duplicate rows through the flip."""
+        contract that would ship duplicate rows through the flip.  The
+        key-column read is planned from the staged files' footers."""
         import numpy as np
         import pyarrow.compute as pc
-        import ray.data
 
         from arcane_stream_sqlserver_change_tracking_ray.stages.merge import hash_keys
 
@@ -793,7 +793,7 @@ class StreamRunner:
         if not paths:
             return
         key_col = self._transform.key_col
-        ds = ray.data.read_parquet(paths, filesystem=tfs.pafs, columns=[key_col])
+        ds = units_dataset(plan_units(paths, filesystem=tfs.pafs, columns=[key_col]))
 
         def bucket(batch: pa.Table) -> pa.Table:
             # only the bare key column moves through the exchange

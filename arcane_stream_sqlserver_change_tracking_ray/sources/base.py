@@ -5,9 +5,9 @@ supplies a ``PluginStreamContext`` plus source layers and reuses every
 framework processor downstream (``main.scala:69-117``;
 ``MicrosoftSqlServerPluginStreamContext.scala:21-30``; SURVEY.md §2.8).
 The Ray-native equivalent: implement this protocol (a tailer that plans
-version ranges and returns lazy Datasets, plus a snapshot reader for
-backfill) and hand it to ``StreamRunner`` — everything downstream
-(transforms, merge, manifest, maintenance) is source-agnostic.
+version ranges and returns lazy Datasets) and hand it to
+``StreamRunner`` — everything downstream (transforms, merge, manifest,
+maintenance) is source-agnostic.
 
 ``ChangeFeedTailer`` (the parquet CT-log source) is the bundled
 implementation; a Kafka/binlog/WAL source only needs to map its offsets
@@ -52,17 +52,4 @@ class ChangeSource(Protocol):
 
     def next_interval(self) -> float:
         """Seconds to sleep before the next poll (interval ± jitter)."""
-        ...
-
-
-@runtime_checkable
-class SnapshotSource(Protocol):
-    """A re-readable full snapshot of the source table (the S2 surface,
-    backfill): shardable files + the source version the snapshot
-    represents."""
-
-    def snapshot_files(self) -> list[str]:
-        ...
-
-    def snapshot_version(self) -> int | None:
         ...

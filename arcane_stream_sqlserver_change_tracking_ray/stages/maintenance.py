@@ -605,7 +605,13 @@ def _collect_file_bounds(
     (int/float/str/bool) are recorded, everything else is skipped and
     such files simply never prune.  Existing stats for files no longer
     in the manifest are dropped — files are immutable, so surviving
-    entries are still exact."""
+    entries are still exact.
+
+    On a table whose ``arcane_merge_key`` is an alias of a STRING column
+    the files store no merge-key column but the alias holds the same
+    values, so the alias's bounds are recorded under the merge key.  A
+    non-string alias records none: its string cast does not sort like
+    the column."""
     import json as _json
 
     import ray.data
@@ -630,6 +636,15 @@ def _collect_file_bounds(
     if not live or not cols:
         return {}
     root, want = log.root, tuple(cols)
+    alias = manifest.merge_key_alias
+    alias_type = manifest.schema.field(alias).type if alias is not None else None
+    # the file column whose bounds a wanted column takes when it stores none
+    stand_in = (
+        {MERGE_KEY_COL: alias}
+        if alias_type is not None
+        and (pa.types.is_string(alias_type) or pa.types.is_large_string(alias_type))
+        else {}
+    )
 
     def footer_bounds(batch: pa.Table) -> pa.Table:
         fs = lakefs(root)
@@ -643,7 +658,7 @@ def _collect_file_bounds(
                 continue
             idx = {md.schema.column(i).name: i for i in range(md.num_columns)}
             for c in want:
-                j = idx.get(c)
+                j = idx.get(c, idx.get(stand_in.get(c)))
                 if j is None:
                     continue
                 lo = hi = None

@@ -1,41 +1,29 @@
-"""Pluggable lake filesystem — the round-3 answer to "the lake is
-POSIX-only" (VERDICT r2, What's missing #1).
+"""Pluggable lake filesystem: ``lakefs(target_root)`` resolves the root
+string to one of two backends, and every lake I/O site (manifest log,
+data-file writers, staging, maintenance, readers) goes through the
+returned facade.
 
 The reference writes its lake through Iceberg FileIO against S3 + a
 REST catalog (``main.scala:80``, ``dev.env.example:13-30``,
 ``docker-compose.yaml:50-74``): every worker reaches the table root
 over the object-store API and snapshot commits are conditional puts,
-not POSIX renames.  This module gives the Ray engine the same
-pluggability: ``lakefs(target_root)`` resolves the root string to a
-backend and every lake I/O site (manifest log, data-file writers,
-staging, maintenance, readers) goes through the returned facade.
+not POSIX renames.  An object-store table log needs only GET, PUT,
+put-if-absent, LIST and DELETE (Delta Lake, VLDB 2020, §3).
 
-Backends, selected by the root's scheme:
-
-- *plain path* (no scheme) -> :class:`LocalLakeFS` — the POSIX fast
-  path, byte-identical to the engine's original behavior: fsync'd data
-  files, hard-link create-if-absent manifest CAS, directory fsync at
-  commit.  Readers get plain paths and ``filesystem=None`` so
-  ``ray.data.read_parquet`` stays on its zero-overhead local path.
-- ``file:///abs/path`` and any other ``pyarrow.fs.FileSystem.from_uri``
-  scheme (``s3://bucket/prefix``, ...) -> :class:`ArrowLakeFS` — all
-  I/O through the pyarrow filesystem.  When the resolved filesystem is
-  local, the manifest CAS still uses the true hard-link protocol; on a
-  remote store it degrades to check-then-put and the docstring of
-  :meth:`ArrowLakeFS.put_if_absent` spells out the conditional-put
-  (S3 ``If-None-Match``) call a production deployment must splice in.
-- ``mock://abs/path`` -> :class:`ObjectStoreFS` — an object-store
-  SIMULATION for tests: the lake protocol may only issue the object
-  verbs GET / PUT / conditional-PUT / LIST / DELETE (no rename, no
-  hard link, no fsync, no directory semantics).  Internally the mock
-  maps keys onto a local directory and emulates the store's own
-  guarantees (atomic whole-object PUT, ``If-None-Match`` conditional
-  create) with local primitives — exactly the guarantees S3/GCS/ABFS
-  give — so a full engine run over ``mock://`` proves the commit
-  protocol needs nothing POSIX.
+- *plain path* or ``file:///abs/path`` -> :class:`LocalLakeFS`, the
+  POSIX path: fsync'd data files, hard-link create-if-absent manifest
+  CAS, directory fsync at commit.  ``root`` stays as given; the scheme
+  is stripped only to find the directory.  Readers get plain paths and
+  ``pafs is None`` (the local filesystem).
+- ``mock://abs/path`` and every other ``pyarrow.fs.FileSystem.from_uri``
+  scheme (``s3://bucket/prefix``, ...) -> :class:`ObjectStoreFS`, which
+  drives one pyarrow filesystem with the object verbs only (no rename,
+  hard link, fsync or directory in the protocol).  ``mock://`` maps
+  the store onto a local directory, so a full engine run over it
+  proves the commit protocol needs nothing POSIX.
 
 Facades are pure functions of the root string (dict-memoized), so Ray
-workers — which receive ``target_root`` strings, never fs objects —
+workers, which receive ``target_root`` strings, never fs objects,
 reconstruct them per process for free.
 """
 
@@ -51,14 +39,26 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 
-#: facade memo — a PLAIN dict on purpose: an ``lru_cache`` wrapper
+class _FacadeMemo(dict):
+    """A dict that pickles EMPTY: when this module is registered by
+    value with Ray's cloudpickle, every worker-shipped closure that
+    reaches :func:`lakefs` carries the memo along, and the driver's
+    facades must not ride with it — unpickling an object-store facade
+    builds its filesystem client again, in every task.  Workers build
+    the facades they use on first use."""
+
+    def __reduce__(self):
+        return (type(self), ())
+
+
+#: facade memo — a dict global on purpose: an ``lru_cache`` wrapper
 #: pickles BY REFERENCE (its __reduce__ returns the qualified name) even
 #: when this module is registered by value with Ray's cloudpickle, so
 #: any worker-shipped closure that referenced the cached factory failed
 #: with ModuleNotFoundError on workers that can't import the package
 #: (foreign-cwd drivers).  A dict global serializes by value with the
-#: function, and facades are cheap stateless handles either way.
-_FS_CACHE: dict[str, "LakeFS"] = {}
+#: function.
+_FS_CACHE: dict[str, "LakeFS"] = _FacadeMemo()
 
 
 #: cap the memo so a long-lived driver touching many distinct roots
@@ -143,21 +143,20 @@ def lakefs(root: str) -> "LakeFS":
 
 def _make_lakefs(root: str) -> "LakeFS":
     scheme, sep, rest = root.partition("://")
-    if not sep:
+    if not sep or scheme == "file":
         return LocalLakeFS(root)
-    if scheme == "mock":
-        return ObjectStoreFS(root)
     from pyarrow import fs as pafs
 
-    filesystem, base = pafs.FileSystem.from_uri(root)
-    return ArrowLakeFS(root, filesystem, base)
+    if scheme == "mock":
+        return ObjectStoreFS(root, pafs.LocalFileSystem(), "/" + rest.lstrip("/"))
+    return ObjectStoreFS(root, *pafs.FileSystem.from_uri(root))
 
 
 class LakeFS:
     """One lake root's I/O surface.  ``rel`` arguments are always
     POSIX-relative to the root ("_manifest/v0.json", "cycles/c1/f.parquet");
-    ``full(rel)`` returns the path/URI-path readers pass alongside
-    :attr:`pafs` to ``ray.data.read_parquet`` / ``pq.ParquetFile``."""
+    ``full(rel)`` returns the path readers pass alongside :attr:`pafs`
+    to ``pqio.plan_units`` / ``pq.read_metadata``."""
 
     root: str
 
@@ -270,16 +269,18 @@ class _WriterHandle:
 
 
 # ---------------------------------------------------------------------------
-# POSIX fast path (the default — plain local roots)
+# POSIX (plain paths and file:// URIs)
 # ---------------------------------------------------------------------------
 class LocalLakeFS(LakeFS):
-    """Byte-identical to the engine's original POSIX behavior."""
+    """The lake in a local (or mounted) directory, with POSIX
+    durability: fsync'd files, hard-link CAS, directory fsync."""
 
     def __init__(self, root: str):
         self.root = root
+        self._dir = root.removeprefix("file://")
 
     def full(self, rel: str) -> str:
-        return os.path.join(self.root, rel)
+        return os.path.join(self._dir, rel)
 
     def read_bytes(self, rel: str) -> bytes:
         with open(self.full(rel), "rb") as f:
@@ -409,18 +410,30 @@ class LocalLakeFS(LakeFS):
 
 
 # ---------------------------------------------------------------------------
-# pyarrow.fs-backed roots (file://, s3://, ...)
+# object stores (mock://, s3://, ...)
 # ---------------------------------------------------------------------------
-class ArrowLakeFS(LakeFS):
-    """All I/O through a ``pyarrow.fs.FileSystem`` resolved from the
-    root URI.  Multi-node ready: workers resolve the same URI, so a
-    shared store (S3, HDFS, NFS-mounted file://) is reachable from every
-    node — the reference's Iceberg-FileIO posture."""
+class ObjectStoreFS(LakeFS):
+    """A key->object store driven through one ``pyarrow.fs.FileSystem``
+    with object verbs only: GET, atomic whole-object PUT, conditional
+    PUT (``If-None-Match``), LIST-by-prefix, DELETE.  Multi-node ready:
+    workers resolve the same URI, the reference's Iceberg-FileIO
+    posture.
+
+    A store guarantees that a PUT (or a multipart upload's completion)
+    publishes the whole object at once, and that a conditional create
+    has one winner.  A local directory (``mock://``) has neither, so
+    there the facade emulates them: PUT and the streaming writer's
+    publish write a hidden key and rename it into place, and
+    ``put_if_absent`` uses ``O_CREAT|O_EXCL``.  Durability is the
+    store's contract on PUT return, so nothing is fsync'd."""
 
     def __init__(self, root: str, filesystem, base: str):
+        from pyarrow import fs as pafs
+
         self.root = root
         self._fs = filesystem
         self._base = base.rstrip("/")
+        self._local_dir = isinstance(filesystem, pafs.LocalFileSystem)
 
     def full(self, rel: str) -> str:
         return posixpath.join(self._base, rel)
@@ -429,220 +442,50 @@ class ArrowLakeFS(LakeFS):
     def pafs(self):
         return self._fs
 
-    def _is_local(self) -> bool:
-        from pyarrow import fs as pafs
-
-        return isinstance(self._fs, pafs.LocalFileSystem)
-
-    def read_bytes(self, rel: str) -> bytes:
-        with self._fs.open_input_file(self.full(rel)) as f:
-            return f.read()
-
-    def write_bytes(self, rel: str, data: bytes) -> None:
-        path = self.full(rel)
+    def _upload_key(self, path: str, kind: str) -> str:
+        """Create *path*'s parent prefix and return where a write of
+        *path* lands before it is visible: the key itself on a store, a
+        hidden sibling key on a local directory."""
         self._fs.create_dir(posixpath.dirname(path), recursive=True)
-        if self._is_local():
-            # atomic overwrite-publish on a local mount
-            tmp = posixpath.join(posixpath.dirname(path), f".tmp-{uuid.uuid4().hex}")
-            with self._fs.open_output_stream(tmp) as f:
-                f.write(data)
-            os.replace(tmp, path)
-        else:
-            # object PUT: whole-object visibility is the store's contract
-            with self._fs.open_output_stream(path) as f:
-                f.write(data)
+        return f"{path}.{kind}-{uuid.uuid4().hex}" if self._local_dir else path
 
-    def put_if_absent(self, rel: str, data: bytes) -> bool:
-        """Create-if-absent on an arbitrary pyarrow filesystem.
-
-        Local mounts get the true hard-link CAS.  Remote stores get
-        check-then-put, which has a race window between the existence
-        check and the PUT — pyarrow's FileSystem API does not expose
-        conditional writes, so a PRODUCTION deployment must replace
-        this with the store's native conditional put (S3
-        ``If-None-Match: *``, GCS ``ifGenerationMatch=0``, ABFS lease)
-        exactly as Iceberg's S3FileIO does; ``ObjectStoreFS`` models
-        that protocol for tests.  Single-writer streams (the engine's
-        normal deployment: one runner per table, CAS as a safety net)
-        are unaffected."""
-        path = self.full(rel)
-        if self._is_local():
-            real = LocalLakeFS(self._base)
-            return real.put_if_absent(rel, data)
-        from pyarrow import fs as pafs
-
-        if self._fs.get_file_info(path).type != pafs.FileType.NotFound:
-            return False
-        with self._fs.open_output_stream(path) as f:
-            f.write(data)
-        return True
-
-    def exists(self, rel: str) -> bool:
-        from pyarrow import fs as pafs
-
-        return self._fs.get_file_info(self.full(rel)).type != pafs.FileType.NotFound
-
-    def listdir(self, rel: str) -> list[str]:
-        from pyarrow import fs as pafs
-
-        try:
-            infos = self._fs.get_file_info(
-                pafs.FileSelector(self.full(rel), recursive=False)
-            )
-        except (FileNotFoundError, OSError):
-            return []
-        return [posixpath.basename(i.path) for i in infos]
-
-    def makedirs(self, rel: str) -> None:
-        self._fs.create_dir(self.full(rel), recursive=True)
-
-    def delete(self, rel: str) -> None:
-        try:
-            self._fs.delete_file(self.full(rel))
-        except (FileNotFoundError, OSError):
-            pass
-
-    def delete_dir(self, rel: str) -> None:
-        try:
-            self._fs.delete_dir(self.full(rel))
-        except (FileNotFoundError, OSError):
-            pass
-
-    def getsize(self, rel: str) -> int:
-        return self._fs.get_file_info(self.full(rel)).size
-
-    def getmtime(self, rel: str) -> float:
-        info = self._fs.get_file_info(self.full(rel))
-        mtime = getattr(info, "mtime", None)
-        return mtime.timestamp() if mtime is not None else 0.0
-
-    def write_table(self, table, rel, *, durable=True, **pq_kw) -> int:
-        path = self.full(rel)
-        self._fs.create_dir(posixpath.dirname(path), recursive=True)
-        pq.write_table(table, path, filesystem=self._fs, **pq_kw)
-        # durability: local mounts fsync'd by the caller contract being
-        # "must survive crash before commit" — pyarrow's local stream
-        # closes without fsync, so do it explicitly; remote stores
-        # guarantee durability when the PUT returns.
-        if durable and self._is_local():
-            fd = os.open(path, os.O_RDONLY)
-            try:
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-        return self.getsize(rel)
-
-    def parquet_file(self, rel: str) -> pq.ParquetFile:
-        info = self._fs.get_file_info(self.full(rel))
-        return FOOTERS.parquet_file(  # the open raises on a missing file
-            self._fs.open_input_file(info.path),
-            (self.root, rel, info.size, info.mtime_ns),
-        )
-
-    def read_table(self, rel: str, **kw) -> pa.Table:
-        return pq.read_table(self.full(rel), filesystem=self._fs, **kw)
-
-    def read_schema(self, rel: str) -> pa.Schema:
-        return pq.read_schema(self._fs.open_input_file(self.full(rel)))
-
-    def parquet_writer(self, rel: str, schema, *, compression: str, use_dictionary=True):
-        path = self.full(rel)
-        self._fs.create_dir(posixpath.dirname(path), recursive=True)
-        is_local = self._is_local()
-
-        def publish(durable: bool) -> None:
-            if durable and is_local:
-                fd = os.open(path, os.O_RDONLY)
-                try:
-                    os.fsync(fd)
-                finally:
-                    os.close(fd)
-            # remote stores: the stream close IS the multipart completion
-
-        return _WriterHandle(
-            pq.ParquetWriter(
-                path, schema, compression=compression,
-                use_dictionary=use_dictionary, filesystem=self._fs,
-            ),
-            publish,
-        )
-
-    def write_npz(self, rel: str, **arrays) -> None:
-        import io
-
-        import numpy as np
-
-        buf = io.BytesIO()
-        np.savez(buf, **arrays)
-        self.write_bytes(rel, buf.getvalue())
-
-    def read_npz(self, rel: str):
-        import io
-
-        import numpy as np
-
-        if not self.exists(rel):
-            return None
-        try:
-            with np.load(io.BytesIO(self.read_bytes(rel))) as z:
-                return dict(z)
-        except Exception:
-            return None
-
-
-# ---------------------------------------------------------------------------
-# object-store protocol simulation (mock://) — tests the commit protocol
-# ---------------------------------------------------------------------------
-class ObjectStoreFS(LakeFS):
-    """A key→object store over a local directory that the lake may only
-    drive with object verbs: GET, atomic whole-object PUT, conditional
-    PUT (If-None-Match), LIST-by-prefix, DELETE.  No rename, no hard
-    link, no fsync, no directories appear in the PROTOCOL — everything
-    the facade's internals do with local primitives exists solely to
-    emulate the guarantees a real store provides natively (S3 PUT is
-    atomic and durable on return; ``If-None-Match: *`` is its
-    conditional create).  An engine run over ``mock://`` therefore
-    certifies the lake needs no POSIX semantics."""
-
-    def __init__(self, root: str):
-        self.root = root
-        self._dir = root.partition("://")[2]
-        if not self._dir.startswith("/"):
-            self._dir = "/" + self._dir
-
-    # keys map 1:1 onto files under the backing dir
-    def _key(self, rel: str) -> str:
-        return os.path.join(self._dir, rel)
-
-    def full(self, rel: str) -> str:
-        return self._key(rel)
-
-    @property
-    def pafs(self):
-        from pyarrow import fs as pafs
-
-        return pafs.LocalFileSystem()
+    def _complete(self, upload: str, path: str) -> None:
+        if upload != path:
+            self._fs.move(upload, path)  # atomic replace on a local directory
 
     # -- object verbs --------------------------------------------------------
     def read_bytes(self, rel: str) -> bytes:  # GET
-        with open(self._key(rel), "rb") as f:
+        with self._fs.open_input_file(self.full(rel)) as f:
             return f.read()
 
-    def write_bytes(self, rel: str, data: bytes) -> None:  # PUT
-        path = self._key(rel)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        # [store-internal] a real PUT is atomic whole-object; emulate
-        # that visibility guarantee (NOT part of the lake protocol)
-        tmp = f"{path}.put-{uuid.uuid4().hex}"
-        with open(tmp, "wb") as f:
+    def write_bytes(self, rel: str, data) -> None:  # PUT
+        path = self.full(rel)
+        upload = self._upload_key(path, "put")
+        with self._fs.open_output_stream(upload) as f:
             f.write(data)
-        os.replace(tmp, path)
+        self._complete(upload, path)
 
     def put_if_absent(self, rel: str, data: bytes) -> bool:  # PUT If-None-Match
-        path = self._key(rel)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        # [store-internal] O_CREAT|O_EXCL is the local analog of the
-        # store's conditional create: exactly one concurrent PUT wins
+        """Create-if-absent.  A local directory uses ``O_CREAT|O_EXCL``,
+        the local analog of the store's conditional create: exactly one
+        concurrent writer wins.
+
+        A remote store gets check-then-put, which has a race window
+        between the existence check and the PUT — pyarrow's FileSystem
+        API does not expose conditional writes, so a PRODUCTION
+        deployment must replace this with the store's native
+        conditional put (S3 ``If-None-Match: *``, GCS
+        ``ifGenerationMatch=0``, ABFS lease) exactly as Iceberg's
+        S3FileIO does; ``mock://`` models that protocol for tests.
+        Single-writer streams (the engine's normal deployment: one
+        runner per table, CAS as a safety net) are unaffected."""
+        if not self._local_dir:
+            if self.exists(rel):
+                return False
+            self.write_bytes(rel, data)
+            return True
+        path = self.full(rel)
+        self._fs.create_dir(posixpath.dirname(path), recursive=True)
         try:
             fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
@@ -654,11 +497,18 @@ class ObjectStoreFS(LakeFS):
         return True
 
     def exists(self, rel: str) -> bool:  # HEAD
-        return os.path.exists(self._key(rel))
+        from pyarrow import fs as pafs
+
+        return self._fs.get_file_info(self.full(rel)).type != pafs.FileType.NotFound
 
     def listdir(self, rel: str) -> list[str]:  # LIST prefix, delimiter="/"
-        p = self._key(rel)
-        return os.listdir(p) if os.path.isdir(p) else []
+        from pyarrow import fs as pafs
+
+        try:
+            infos = self._fs.get_file_info(pafs.FileSelector(self.full(rel)))
+        except OSError:
+            return []
+        return [posixpath.basename(i.path) for i in infos]
 
     def makedirs(self, rel: str) -> None:
         """Object stores have no directories — a pure no-op, which also
@@ -666,57 +516,56 @@ class ObjectStoreFS(LakeFS):
 
     def delete(self, rel: str) -> None:  # DELETE
         try:
-            os.unlink(self._key(rel))
-        except FileNotFoundError:
+            self._fs.delete_file(self.full(rel))
+        except OSError:
             pass
 
     def delete_dir(self, rel: str) -> None:  # LIST + batched DELETE
-        shutil.rmtree(self._key(rel), ignore_errors=True)
+        try:
+            self._fs.delete_dir(self.full(rel))
+        except OSError:
+            pass
 
     def getsize(self, rel: str) -> int:  # HEAD content-length
-        return os.path.getsize(self._key(rel))
+        with self._fs.open_input_file(self.full(rel)) as f:
+            return f.size()
 
     def getmtime(self, rel: str) -> float:  # HEAD last-modified
-        try:
-            return os.path.getmtime(self._key(rel))
-        except OSError:
-            return 0.0
+        mtime = self._fs.get_file_info(self.full(rel)).mtime
+        return mtime.timestamp() if mtime is not None else 0.0
 
-    # -- parquet: one object per file (write = one PUT) ----------------------
+    # -- parquet: one object per file ----------------------------------------
     def write_table(self, table, rel, *, durable=True, **pq_kw) -> int:
-        import io
-
-        buf = io.BytesIO()
+        buf = pa.BufferOutputStream()
         pq.write_table(table, buf, **pq_kw)
         data = buf.getvalue()
-        self.write_bytes(rel, data)  # durable on PUT return, per store contract
-        return len(data)
+        self.write_bytes(rel, data)  # one PUT
+        return data.size
 
     def parquet_file(self, rel: str) -> pq.ParquetFile:  # GET (ranged)
-        return _local_parquet_file(self.root, rel, self._key(rel))
+        info = self._fs.get_file_info(self.full(rel))
+        f = self._fs.open_input_file(info.path)  # raises on a missing file
+        if f.size() != info.size:  # replaced since the HEAD: parse, cache nothing
+            return pq.ParquetFile(f)
+        return FOOTERS.parquet_file(f, (self.root, rel, info.size, info.mtime_ns))
 
     def read_table(self, rel: str, **kw) -> pa.Table:
-        return pq.read_table(self._key(rel), **kw)
+        return pq.read_table(self.full(rel), filesystem=self._fs, **kw)
 
     def read_schema(self, rel: str) -> pa.Schema:
-        return pq.read_schema(self._key(rel))
+        return pq.read_schema(self.full(rel), filesystem=self._fs)
 
     def parquet_writer(self, rel: str, schema, *, compression: str, use_dictionary=True):
-        # a streaming write maps to a MULTIPART UPLOAD: parts stream to
-        # an upload id, COMPLETE publishes the object atomically.
-        # [store-internal] hidden upload key + final replace emulate that.
-        path = self._key(rel)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        upload = f"{path}.upload-{uuid.uuid4().hex}"
-
-        def publish(durable: bool) -> None:
-            os.replace(upload, path)  # multipart COMPLETE (atomic publish)
-
+        # a streaming write is a MULTIPART UPLOAD whose completion
+        # publishes the object atomically
+        path = self.full(rel)
+        upload = self._upload_key(path, "upload")
         return _WriterHandle(
             pq.ParquetWriter(
-                upload, schema, compression=compression, use_dictionary=use_dictionary
+                upload, schema, compression=compression,
+                use_dictionary=use_dictionary, filesystem=self._fs,
             ),
-            publish,
+            lambda durable: self._complete(upload, path),
         )
 
     def write_npz(self, rel: str, **arrays) -> None:
@@ -733,10 +582,8 @@ class ObjectStoreFS(LakeFS):
 
         import numpy as np
 
-        if not self.exists(rel):
-            return None
         try:
             with np.load(io.BytesIO(self.read_bytes(rel))) as z:
                 return dict(z)
-        except Exception:
+        except Exception:  # missing or unreadable sidecar
             return None

@@ -5,6 +5,8 @@ import json
 import os
 import shutil
 
+import pytest
+
 from arcane_stream_sqlserver_change_tracking_ray.config import StreamContext
 from arcane_stream_sqlserver_change_tracking_ray.gen import (
     expected_final_state,
@@ -17,6 +19,7 @@ from arcane_stream_sqlserver_change_tracking_ray.pipelines.runner import (
     get_watermark,
     read_target_table,
 )
+from arcane_stream_sqlserver_change_tracking_ray.state.fs import lakefs
 from arcane_stream_sqlserver_change_tracking_ray.state.manifest import (
     ManifestLog,
     prepare_watermark,
@@ -169,18 +172,20 @@ def test_golden_stream_backfill_stream(tmp_lake):
     assert log.latest().watermark == 1000
 
 
-def test_backfill_overwrite_validate_disjoint(tmp_lake):
+@pytest.mark.parametrize("backend", ["posix", "mock"])
+def test_backfill_overwrite_validate_disjoint(tmp_lake, backend):
     """Opt-in shard-disjointness gate: clean shards pass; a snapshot with
     the same key in two shards fails BEFORE the flip commits (target
-    keeps its previous state)."""
+    keeps its previous state).  Runs on both lake backends."""
     import pyarrow.parquet as pq
-    import pytest
 
     from arcane_stream_sqlserver_change_tracking_ray.pipelines.runner import (
         ShardOverlapError,
     )
 
     ct, tgt, snap = tmp_lake
+    if backend == "mock":
+        tgt = f"mock://{tgt}"
     write_ctlog(ct, small_spec())
     paths = write_snapshot(ct, snap, at_version=1000, num_files=3)
     prepare_watermark(tgt, version=0, num_partitions=4)
@@ -196,7 +201,7 @@ def test_backfill_overwrite_validate_disjoint(tmp_lake):
     import pyarrow as pa
 
     pq.write_table(pa.concat_tables([t1, t0.slice(0, 1)]), paths[1])
-    shutil.rmtree(os.path.join(tgt, "_backfill"), ignore_errors=True)
+    lakefs(tgt).delete_dir("_backfill")
     ctx2 = make_ctx(
         ct,
         tgt,

@@ -1,14 +1,19 @@
-"""Pluggable lake filesystem (state/fs.py): backend unit contracts +
-the FULL engine running with ``target_root`` on a pyarrow.fs-wrapped
-path (``file://``) and on the object-store protocol simulation
-(``mock://`` — GET/PUT/conditional-PUT/LIST/DELETE only, no renames).
-Reference posture: Iceberg S3 FileIO + REST catalog (``main.scala:80``,
-``dev.env.example:13-30``)."""
+"""Pluggable lake filesystem (state/fs.py): the two backends' unit
+contracts — POSIX (plain paths and ``file://``) and the object store
+(``mock://`` over a local directory, and pyarrow's in-memory, non-local
+mock filesystem for the remote-store branch) — plus the FULL engine
+running with ``target_root`` on ``file://`` and on the object-store
+protocol simulation (``mock://`` — GET/PUT/conditional-PUT/LIST/DELETE
+only, no renames).  Reference posture: Iceberg S3 FileIO + REST catalog
+(``main.scala:80``, ``dev.env.example:13-30``)."""
 
 import os
+import pickle
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from pyarrow import fs as pafs
 
 from arcane_stream_sqlserver_change_tracking_ray.config import StreamContext
 from arcane_stream_sqlserver_change_tracking_ray.gen import (
@@ -22,8 +27,8 @@ from arcane_stream_sqlserver_change_tracking_ray.pipelines.runner import (
     read_change_feed_table,
     read_target_table,
 )
+from arcane_stream_sqlserver_change_tracking_ray.state import fs as fs_mod
 from arcane_stream_sqlserver_change_tracking_ray.state.fs import (
-    ArrowLakeFS,
     LocalLakeFS,
     ObjectStoreFS,
     lakefs,
@@ -38,16 +43,51 @@ from tests.util import assert_tables_equal
 # ---------------------------------------------------------------------------
 # backend resolution + unit contracts
 # ---------------------------------------------------------------------------
-def test_lakefs_scheme_dispatch(tmp_path):
+def test_lakefs_scheme_dispatch(tmp_path, monkeypatch):
+    # a fresh memo, so no facade built here outlives the test
+    monkeypatch.setattr(fs_mod, "_FS_CACHE", fs_mod._FacadeMemo())
     assert isinstance(lakefs(str(tmp_path)), LocalLakeFS)
-    assert isinstance(lakefs(f"file://{tmp_path}"), ArrowLakeFS)
+    local = lakefs(f"file://{tmp_path}")
+    assert isinstance(local, LocalLakeFS) and local.full("a/b") == f"{tmp_path}/a/b"
     assert isinstance(lakefs(f"mock://{tmp_path}"), ObjectStoreFS)
+    # a remote URI resolves to the object-store backend; no verb is
+    # called, and the AWS SDK must not look the region or credentials up
+    # in the EC2 metadata service while it builds the client
+    monkeypatch.setenv("AWS_EC2_METADATA_DISABLED", "true")
+    s3 = lakefs("s3://bucket/prefix?region=us-east-1")
+    assert isinstance(s3, ObjectStoreFS) and isinstance(s3.pafs, pafs.S3FileSystem)
+    assert s3.full("_manifest/v0.json") == "bucket/prefix/_manifest/v0.json"
+    # the memo ships no facade (and no client) to Ray workers
+    assert pickle.loads(pickle.dumps(fs_mod._FS_CACHE)) == {}
 
 
-@pytest.mark.parametrize("scheme", ["", "file://", "mock://"])
-def test_backend_contract(tmp_path, scheme):
+#: the lake schemes the backend contracts run on; "memory://" is an
+#: ObjectStoreFS over pyarrow's in-memory mock filesystem, which is not
+#: local, so it takes the remote-store branch (direct PUT, check-then-put
+#: CAS, the streaming writer's close as the publish)
+SCHEMES = ["", "file://", "mock://", "memory://"]
+
+
+@pytest.fixture
+def lake_root(tmp_path, monkeypatch):
+    """A fresh lake root on a scheme of :data:`SCHEMES`."""
+
+    def make(scheme: str) -> str:
+        root = f"{scheme}{tmp_path}/lake"
+        if scheme == "memory://":
+            store = fs_mod.ObjectStoreFS(
+                root, pafs._MockFileSystem(datetime.now(timezone.utc)), "bucket/lake"
+            )
+            monkeypatch.setitem(fs_mod._FS_CACHE, root, store)
+        return root
+
+    return make
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_backend_contract(lake_root, scheme):
     """The shared facade contract every backend must satisfy."""
-    fs = lakefs(f"{scheme}{tmp_path}/lake")
+    fs = lakefs(lake_root(scheme))
 
     # put_if_absent: exactly-one-winner CAS
     assert fs.put_if_absent("_manifest/v0.json", b"alpha") is True
@@ -91,8 +131,8 @@ def test_backend_contract(tmp_path, scheme):
     assert pf.metadata.num_rows == 3 and pf.metadata.num_row_groups == 2
 
 
-@pytest.mark.parametrize("scheme", ["", "file://", "mock://"])
-def test_dictionary_pages_only_where_values_repeat(tmp_path, scheme):
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_dictionary_pages_only_where_values_repeat(lake_root, scheme):
     """Both data-file writers dictionary-encode only the columns whose
     leading values repeat: a unique string column's chunk has no
     dictionary page, a low-cardinality one has; the table reads back
@@ -104,7 +144,7 @@ def test_dictionary_pages_only_where_values_repeat(tmp_path, scheme):
         write_partition_files,
     )
 
-    root = f"{scheme}{tmp_path}/lake"
+    root = lake_root(scheme)
     fs = lakefs(root)
     n = 3000
     t = pa.table(

@@ -320,6 +320,46 @@ def test_bloom_sidecar_on_the_aliased_key_still_prunes(tmp_path):
     assert st_.get("files_skipped", 0) >= 1
 
 
+@pytest.mark.parametrize("kind", ["str", "int"])
+def test_analyze_bounds_the_aliased_key_when_the_alias_is_a_string(tmp_path, monkeypatch, kind):
+    """ANALYZE records a string alias's footer bounds under
+    ``arcane_merge_key``, so ``read_target(where=...)`` on the merge key
+    skips files again; an int alias records none (its string cast does
+    not sort like the column) and the read skips nothing."""
+    from arcane_stream_sqlserver_change_tracking_ray.pipelines import runner as runner_mod
+    from arcane_stream_sqlserver_change_tracking_ray.stages.maintenance import analyze
+
+    ctlog = str(tmp_path / "ctlog")
+    os.makedirs(ctlog)
+    events = [(k, "U", "en") for k in range(12)]
+    pq.write_table(_segment(events, 0), segment_path(ctlog, 0, len(events)))
+    tgt = str(tmp_path / "tgt")
+    prepare_watermark(tgt, 0, num_partitions=3)
+    ctx, log = _ctx(ctlog, tgt, kind), ManifestLog(tgt)
+    _cycle(ctx, legacy=False)
+    optimize(log, ctx)  # no deltas: read_target plans one unit per base file
+    analyze(log, ctx)
+    m = log.latest()
+    assert m.merge_key_alias == KEYS[kind][0]
+    files = sorted(m.all_files())
+    assert len(files) >= 2
+    stats = [m.file_stats[f] for f in files]
+    if kind == "str":
+        assert [s[MERGE_KEY_COL] for s in stats] == [s["url"] for s in stats]
+    else:
+        assert all(MERGE_KEY_COL not in s for s in stats)
+
+    probe = min(_merge_keys(kind, range(12), ["en"] * 12))
+    planned: list[int] = []
+    real = runner_mod.units_dataset
+    monkeypatch.setattr(
+        runner_mod, "units_dataset", lambda units: planned.append(len(units)) or real(units)
+    )
+    got = _materialize(read_target(tgt, where=[[MERGE_KEY_COL, "==", probe]]))
+    assert got[MERGE_KEY_COL].to_pylist() == [probe]
+    assert planned == [1 if kind == "str" else len(files)]
+
+
 # ---------------------------------------------------------------------------
 # the null guard, the fixed alias and sources that ship the column
 # ---------------------------------------------------------------------------

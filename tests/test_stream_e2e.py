@@ -92,6 +92,19 @@ def test_retired_merge_strategy_key_is_dropped_with_one_warning(tmp_lake, caplog
     assert_tables_equal(read_target_table(tgt), expected_final_state(ct))
 
 
+def test_retired_advised_burst_key_is_dropped_with_one_warning(tmp_lake, caplog):
+    """``throughput.advisedBurst`` is retired the same way: the token
+    bucket has no burst, so the key parses, warns once and is dropped;
+    the rest of the section stays."""
+    ct, tgt, _ = tmp_lake
+    with caplog.at_level(logging.WARNING, logger="arcane_ray.config"):
+        ctx = make_ctx(ct, tgt, throughput={"advisedRate": 500.0, "advisedBurst": 1000})
+    warned = [r for r in caplog.records if r.name == "arcane_ray.config"]
+    assert len(warned) == 1 and "advisedBurst" in warned[0].getMessage()
+    assert not hasattr(ctx.throughput, "advised_burst")
+    assert ctx.throughput.advised_rate == 500.0
+
+
 def test_byte_identical_text_per_url(tmp_lake):
     """input_hint invariant: extracted text is byte-identical per url."""
     ct, tgt, _ = tmp_lake
