@@ -22,7 +22,10 @@ ratio change/base, and in how many pairs the change was better.  The
 end-to-end metrics take their direction from ``BENCHMARK.json``; with
 ``--trace`` the runs are traced and the per-layer metrics are reported,
 counting "lower" as better.  A run that fails its correctness check is
-reported and left out of the statistics.
+reported and left out of the statistics.  Every run that exits non-zero,
+even one that printed a result, keeps its exit code and stderr tail in
+the JSONL record, and the summary lists each such run's exit code and
+last stderr line.
 """
 
 from __future__ import annotations
@@ -72,14 +75,27 @@ def snapshot(workdir: str) -> str:
 
 
 def run_one(tree: str, workload: str, seed: int, seconds: float, trace: bool) -> dict:
+    """One perfbench run's record: ``correct``, ``metrics`` and, for a
+    non-zero exit (whether or not it printed a result), ``returncode``
+    and the tail of its stderr."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "1" if trace else "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = [ln for ln in proc.stdout.splitlines() if ln.startswith("{")]
+    failed = {}
+    if proc.returncode != 0:
+        failed = {"returncode": proc.returncode, "stderr": proc.stderr[-2000:]}
     if not lines:
-        return {"correct": False, "error": (proc.stderr or proc.stdout)[-2000:], "metrics": {}}
+        return {"correct": False, "error": (proc.stderr or proc.stdout)[-2000:], "metrics": {},
+                **failed}
     out = json.loads(lines[-1])
-    return {"correct": out["correct"], "metrics": {k: v["value"] for k, v in out["metrics"].items()}}
+    return {"correct": out["correct"], "metrics": {k: v["value"] for k, v in out["metrics"].items()},
+            **failed}
+
+
+def last_line(text: str) -> str:
+    lines = [ln for ln in (text or "").splitlines() if ln.strip()]
+    return lines[-1].strip() if lines else ""
 
 
 def directions() -> dict[str, str]:
@@ -104,6 +120,11 @@ def report(records: list[dict], better: dict[str, str]) -> None:
         full = [p for p in pairs.values()
                 if len(p) == 2 and p["base"]["correct"] and p["change"]["correct"]]
         print(f"\n{wl}: {len(full)} pairs" + (f"; failed runs {bad}" if bad else ""))
+        for s, p in sorted(pairs.items()):
+            for side, r in sorted(p.items()):
+                if r.get("returncode"):
+                    print(f"  exit {r['returncode']}: seed {s} {side}: "
+                          f"{last_line(r.get('stderr', ''))}")
         if not full:
             continue
         names = [n for n in full[0]["base"]["metrics"] if n in full[0]["change"]["metrics"]]
@@ -165,8 +186,10 @@ def main(argv=None) -> int:
                 with open(log, "a", encoding="utf-8") as f:
                     f.write(json.dumps(rec) + "\n")
                 key = "ingest_events_per_s" if not args.trace else "runner.cycle_s"
+                exit_code = f" exit={out['returncode']}" if "returncode" in out else ""
                 print(f"pair {i + 1}/{args.pairs} {wl} seed {seed} {side}: "
-                      f"correct={out['correct']} {key}={out['metrics'].get(key)}", flush=True)
+                      f"correct={out['correct']}{exit_code} {key}={out['metrics'].get(key)}",
+                      flush=True)
     report(records, better)
     return 0
 

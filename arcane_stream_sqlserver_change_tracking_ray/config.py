@@ -269,6 +269,8 @@ class ObservabilitySettings:
     """F4 metrics/log tags (reference docs/crd.md:34-38)."""
 
     metric_tags: dict[str, str] = field(default_factory=dict)
+    #: level of the engine's ``arcane_ray`` loggers, set by ``StreamRunner``
+    #: (a ``logging`` level name, any case)
     log_level: str = "INFO"
     #: external metrics push (reference DataDog.UdsPublisher,
     #: main.scala:116): "uds://<abspath>" (DogStatsD over a Unix
@@ -276,6 +278,12 @@ class ObservabilitySettings:
     #: (cycle metrics are ALWAYS persisted in the manifest regardless)
     statsd_target: str = ""
     metrics_prefix: str = "arcane.stream"
+
+    def __post_init__(self):
+        level = str(self.log_level).upper()
+        if level not in logging.getLevelNamesMapping():
+            raise ValueError(f"unknown observability log_level: {self.log_level!r}")
+        self.log_level = level
 
 
 @dataclass

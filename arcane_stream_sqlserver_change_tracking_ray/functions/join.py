@@ -295,7 +295,7 @@ def fuzzy_self_join(
         # value may arrive once per upstream batch; finish the dedup here
         names = sorted(set(group[text_col].to_pylist()))
         if len(names) > max_block:
-            logging.getLogger(__name__).warning(
+            logging.getLogger("arcane_ray.join").warning(
                 "fuzzy block capped: %d -> %d members (pairs beyond the "
                 "cap are NOT emitted; refine block_pattern)",
                 len(names), max_block,

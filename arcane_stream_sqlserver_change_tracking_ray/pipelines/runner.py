@@ -33,6 +33,7 @@ from arcane_stream_sqlserver_change_tracking_ray.pqio import (
     ReadUnit,
     cluster_cpus,
     plan_units,
+    spread,
     units_dataset,
 )
 from arcane_stream_sqlserver_change_tracking_ray.sources.ctlog import (
@@ -45,6 +46,7 @@ from arcane_stream_sqlserver_change_tracking_ray.stages import staging as G
 from arcane_stream_sqlserver_change_tracking_ray.stages import merge as _merge_mod
 from arcane_stream_sqlserver_change_tracking_ray.stages.merge import (
     ActorMergePool,
+    Partition,
     fold_stats_into_manifest,
 )
 from arcane_stream_sqlserver_change_tracking_ray.stages.partitioning import (
@@ -208,6 +210,7 @@ class StreamRunner:
         from arcane_stream_sqlserver_change_tracking_ray.state.retry import RetryPolicy
 
         self.ctx = ctx
+        logging.getLogger("arcane_ray").setLevel(ctx.observability.log_level)
         self.casts = casts or {}
         self.log = ManifestLog(ctx.sink.target_root)
         self.tailer: ChangeFeedTailer | None = None
@@ -1136,25 +1139,34 @@ def read_target(
     The read is planned on the driver from the manifest alone (file
     list, ``file_stats`` pruning, schema): no footer, metadata or
     sampling task.  It runs as ``pqio.units_dataset``, at most one read
-    task per CPU, each streaming one block per unit:
+    task per CPU:
 
     - With no deltas, a unit is one base file, read against the manifest
       schema (a file that predates an additive migration reads the new
       column as nulls, in the manifest's type and position; an aliased
       ``arcane_merge_key`` is derived from its key column, never read
       as nulls).
-    - Merge-on-read: with pending deltas, a unit is one partition's
-      resolve (base+deltas → LWW → drop tombstones), so its cost is that
-      partition's data only.
+    - Merge-on-read: with pending deltas, a unit is one task's
+      contiguous run of partitions (``pqio.spread``).  It resolves the
+      run a block of consecutive partitions at a time
+      (``merge.resolve_partition_table``: base+deltas → LWW → drop
+      tombstones), one Ray Data block per block.  A block grows until
+      its footer bytes reach ``DataContext.target_max_block_size``
+      (``merge.partition_blocks``); it reads each file once and runs one
+      LWW, so a delta file shared by the block's partitions costs one
+      read, not one per partition.
 
     ``where`` is an AND-ed ``[[col, op, literal], ...]`` row filter
     (SQL ``WHERE``).  On the no-delta path it is pushed into the
     parquet scan as a ``pyarrow.dataset`` expression, so row-group
     min/max statistics skip non-matching groups at the read (the
-    reference gets this from Iceberg metadata + ``sortedBy``).  On the
-    merge-on-read path it is applied AFTER the LWW resolve — filtering
-    before LWW could resurrect an older version of a key whose winner
-    does not match — so it prunes output, not input, there.
+    reference gets this from Iceberg metadata + ``sortedBy``); a term on
+    an aliased ``arcane_merge_key`` is pushed as a term on its key
+    column when that is a string (a non-string key's string cast does
+    not compare like the column, so that term filters after the read).
+    On the merge-on-read path it is applied AFTER the LWW resolve —
+    filtering before LWW could resurrect an older version of a key whose
+    winner does not match — so it prunes output, not input, there.
 
     ``version`` time-travels to an older retained snapshot (analog of
     Iceberg snapshot reads; available until ``expire_versions`` GCs it)."""
@@ -1164,6 +1176,7 @@ def read_target(
     from arcane_stream_sqlserver_change_tracking_ray.stages.merge import (
         conjunction_expression,
         filter_conjunction,
+        partition_blocks,
         predicate_columns,
         resolve_partition_table,
         validate_conjunction,
@@ -1200,12 +1213,22 @@ def read_target(
             if not drop_meta or n not in meta_cols
         )
         alias = m.merge_key_alias
-        # an aliased merge key is no file column: a predicate on it
-        # filters after the read, not in the scan
-        post = alias is not None and where is not None and MERGE_KEY_COL in {t[0] for t in where}
+        scan_where = where
+        if alias is not None and where is not None:
+            # an aliased merge key is no file column: a predicate on it
+            # is a predicate on a string key column, else it filters
+            # after the read
+            if pa.types.is_string(m.schema.field(alias).type):
+                scan_where = [[alias if c == MERGE_KEY_COL else c, op, v] for c, op, v in where]
+        post = alias is not None and where is not None and MERGE_KEY_COL in {
+            t[0] for t in scan_where
+        }
         read_cols = tuple(dict.fromkeys(keep + tuple(t[0] for t in where))) if post else keep
         # the scan filter may reference columns outside the projection
-        flt = conjunction_expression(where, m.schema) if where is not None and not post else None
+        flt = (
+            conjunction_expression(scan_where, m.schema)
+            if scan_where is not None and not post else None
+        )
         units = [
             ReadUnit(
                 ((fs.full(f), None),), m.schema, read_cols, flt, filesystem,
@@ -1215,13 +1238,13 @@ def read_target(
         ]
         if post:
 
-            def read_where(unit: ReadUnit) -> pa.Table:
-                return filter_conjunction(unit.read(), where).select(list(keep))
+            def read_where(unit: ReadUnit):
+                yield filter_conjunction(unit.read(), where).select(list(keep))
 
             units = [functools.partial(read_where, u) for u in units]
         return units_dataset(units)
 
-    # ---- merge-on-read: one resolve unit per partition ----------------
+    # ---- merge-on-read: each task resolves its run of partitions -------
     full_schema = m.schema
     out_cols = [n for n in (columns or full_schema.names)]
     if drop_meta:
@@ -1259,41 +1282,47 @@ def read_target(
     base, deltas = dict(m.partitions), dict(m.deltas)
     preds, kdels = list(m.delete_predicates), dict(m.key_deletes)
     alias = m.merge_key_alias
+    max_bytes = _max_block_bytes()
 
-    def resolve(pid: int) -> pa.Table:
-        t = resolve_partition_table(
-            target_root, base.get(pid, []), deltas.get(pid, []), read_schema,
-            delete_predicates=preds, key_deletes=kdels.get(pid, []),
-            merge_key_alias=alias,
-        )
-        if where is not None:
-            t = filter_conjunction(t, where)
-        return t.select(out_cols)
+    def resolve_run(run: list[int]):
+        parts = [_partition(base, deltas, kdels, pid) for pid in run]
+        for block in partition_blocks(target_root, parts, read_schema, max_bytes, alias):
+            t = resolve_partition_table(
+                target_root, block, read_schema, delete_predicates=preds, merge_key_alias=alias,
+            )
+            if where is not None:
+                t = filter_conjunction(t, where)
+            yield t.select(out_cols)
 
-    return units_dataset([functools.partial(resolve, pid) for pid in pids])
+    runs = spread(pids, cluster_cpus())
+    return units_dataset([functools.partial(resolve_run, run) for run in runs])
 
 
 def read_target_table(
     target_root: str, drop_meta: bool = True, version: int | str | None = None
 ) -> pa.Table:
     """Driver-side materialized read (tests / small results only);
-    resolves pending merge-on-read deltas per partition.  ``version``
-    time-travels to an older retained snapshot (same contract as
-    ``read_target``)."""
+    resolves pending merge-on-read deltas a block of partitions at a
+    time, as ``read_target`` does.  ``version`` time-travels to an older
+    retained snapshot (same contract as ``read_target``)."""
     from arcane_stream_sqlserver_change_tracking_ray.stages.merge import (
+        partition_blocks,
         resolve_partition_table,
     )
 
     log = ManifestLog(target_root)
     m = log.read(version) if version is not None else log.require_watermark()
+    parts = [
+        _partition(m.partitions, m.deltas, m.key_deletes, pid)
+        for pid in sorted(m.partition_pids())
+    ]
+    blocks = partition_blocks(target_root, parts, m.schema, _max_block_bytes(), m.merge_key_alias)
     tables = [
         resolve_partition_table(
-            target_root, m.partitions.get(pid, []), m.deltas.get(pid, []), m.schema,
-            delete_predicates=m.delete_predicates,
-            key_deletes=m.key_deletes.get(pid, []),
-            merge_key_alias=m.merge_key_alias,
+            target_root, block, m.schema,
+            delete_predicates=m.delete_predicates, merge_key_alias=m.merge_key_alias,
         )
-        for pid in sorted(m.partition_pids())
+        for block in blocks
     ]
     tables = [t for t in tables if t.num_rows]
     if not tables:
@@ -1305,6 +1334,20 @@ def read_target_table(
         if drop:
             out = out.drop_columns(drop)
     return out
+
+
+def _partition(base: dict, deltas: dict, key_deletes: dict, pid: int) -> Partition:
+    """Partition *pid*'s entries in a manifest's maps."""
+    return Partition(base.get(pid, []), deltas.get(pid, []), key_deletes.get(pid, []))
+
+
+def _max_block_bytes() -> int | None:
+    """Ray Data's ``DataContext.target_max_block_size``: the footer
+    bytes a merge-on-read block of partitions grows to
+    (``merge.partition_blocks``)."""
+    from ray.data import DataContext
+
+    return DataContext.get_current().target_max_block_size
 
 
 def _change_feed_plan(
@@ -1413,7 +1456,11 @@ def read_change_feed(
     pids = sorted(p for p, v in appended.items() if v)
     if not pids:
         return ray.data.from_arrow(pa.schema(out_fields).empty_table())
-    return units_dataset([functools.partial(resolve_pid, pid) for pid in pids])
+
+    def feed(pid: int):
+        yield resolve_pid(pid)
+
+    return units_dataset([functools.partial(feed, pid) for pid in pids])
 
 
 def read_change_feed_table(
@@ -1469,15 +1516,13 @@ def lookup_keys(
     for pid in sorted(pids):
         t = resolve_partition_table(
             target_root,
-            m.partitions.get(pid, []),
-            m.deltas.get(pid, []),
+            [_partition(m.partitions, m.deltas, m.key_deletes, pid)],
             m.schema,
             key_filter=key_arr,
             key_col=key_col,
             bloom_column=key_col if use_bloom else None,
             stats=stats,
             delete_predicates=m.delete_predicates,
-            key_deletes=m.key_deletes.get(pid, []),
             merge_key_alias=m.merge_key_alias,
         )
         if t.num_rows:
@@ -1559,9 +1604,8 @@ def export_snapshot(
         if os.path.exists(final):  # finished by a previous run
             return {"pid": pid, "rows": -1, "skipped": True}
         t = resolve_partition_table(
-            target_root, base.get(pid, []), deltas.get(pid, []), schema,
-            delete_predicates=preds, key_deletes=kdels.get(pid, []),
-            merge_key_alias=alias,
+            target_root, [_partition(base, deltas, kdels, pid)], schema,
+            delete_predicates=preds, merge_key_alias=alias,
         ).select(out_names)
         os.makedirs(part_dir, exist_ok=True)
         tmp = final + f".tmp-{uuid.uuid4().hex}"

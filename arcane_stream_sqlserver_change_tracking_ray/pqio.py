@@ -16,9 +16,11 @@ no task:
   passes ``blocks_per_cpu x CPUs``) are files split into contiguous
   row-group runs, and never into units smaller than ``min_rows``.
 
-Table reads need no footers: ``read_target`` builds one unit per file
-from the manifest (file list, ``file_stats`` pruning, manifest schema,
-merge-key alias).
+Table reads are planned without footers: ``read_target`` builds one
+unit per file from the manifest (file list, ``file_stats`` pruning,
+manifest schema, merge-key alias), or, over pending deltas, one unit
+per task's run of partitions; that task sizes its blocks of partitions
+from the footer cache as it runs.
 
 The ingest writers (``stages.merge``) run one plain Ray task per unit:
 it reads, transforms and writes, and returns only its stats rows, so
@@ -31,15 +33,19 @@ and small table reads alike.
 :func:`units_dataset` is the lazy Ray Data view of units, for the reads
 that hand a ``Dataset`` to the caller (``read_target``,
 ``read_change_feed``) and for staging's ``write_parquet``.  A unit is a
-``ReadUnit`` or a zero-argument callable returning one block (a
-partition's merge-on-read resolve).  It runs at most one read task per
-CPU: Ray Data's executor polls all active tasks with a 0.1 s timeout,
-so on one CPU two tasks of one read cost several times one task.
+``ReadUnit`` (one block) or a zero-argument callable returning an
+iterable of blocks: a merge-on-read ``read_target`` passes one callable
+per task, resolving its run of partitions a block of partitions at a
+time, and a change feed one per partition.  It runs at most one read
+task per CPU: Ray Data's executor polls all active tasks with a 0.1 s
+timeout, so on one CPU two tasks of one read cost several times one
+task.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import pyarrow as pa
 
@@ -225,14 +231,15 @@ def spread(items: list, n: int) -> list[list]:
     return runs
 
 
-def _read(unit) -> pa.Table:
-    return unit.read() if isinstance(unit, ReadUnit) else unit()
+def _blocks(unit) -> Iterable[pa.Table]:
+    return (unit.read(),) if isinstance(unit, ReadUnit) else unit()
 
 
 def units_dataset(units: list):
     """A lazy ``ray.data.Dataset`` of *units*: a ``Datasource`` with at
-    most one read task per CPU, each streaming one block per unit of its
-    contiguous run, and no split factor, so a downstream
+    most one read task per CPU, each streaming the blocks of every unit
+    of its contiguous run — one per ``ReadUnit``, those a callable unit
+    yields (one or several) — and no split factor, so a downstream
     ``map_batches(batch_size=None)`` fuses with the read."""
     import ray.data
     from ray.data import Datasource, ReadTask
@@ -260,7 +267,7 @@ def units_dataset(units: list):
 
         def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
             return [
-                ReadTask(lambda run=run: (_read(u) for u in run), metadata(run))
+                ReadTask(lambda run=run: (b for u in run for b in _blocks(u)), metadata(run))
                 for run in runs
             ]
 

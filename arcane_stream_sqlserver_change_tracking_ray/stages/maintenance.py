@@ -34,6 +34,7 @@ from arcane_stream_sqlserver_change_tracking_ray.functions.transforms import (
 )
 from arcane_stream_sqlserver_change_tracking_ray.state.fs import lakefs
 from arcane_stream_sqlserver_change_tracking_ray.stages.merge import (
+    Partition,
     partition_ids,
     resolve_partition_table,
     run_per_cpu,
@@ -133,13 +134,16 @@ class CompactPartition:
         self.cluster_min_rows = cluster_min_rows
 
     def __call__(self, pid: int) -> dict:
-        merged = resolve_partition_table(
-            self.target_root,
+        part = Partition(
             self.partition_files.get(pid, []),
             self.partition_deltas.get(pid, []),
+            self.key_deletes.get(pid, []),
+        )
+        merged = resolve_partition_table(
+            self.target_root,
+            [part],
             self.schema,
             delete_predicates=self.delete_predicates,
-            key_deletes=self.key_deletes.get(pid, []),
             merge_key_alias=self.merge_key_alias,
         )
         if self.sorted_by and merged.num_rows:
@@ -337,8 +341,7 @@ class RepartitionPartition:
 
         merged = resolve_partition_table(
             self.target_root,
-            self.partition_files.get(pid, []),
-            self.partition_deltas.get(pid, []),
+            [Partition(self.partition_files.get(pid, []), self.partition_deltas.get(pid, []))],
             self.schema,
             merge_key_alias=self.merge_key_alias,
         )

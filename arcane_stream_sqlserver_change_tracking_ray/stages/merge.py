@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import json
 import uuid
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import pandas as pd
@@ -575,7 +576,24 @@ def read_entry_table(
     merge_key_alias: str | None = None,
 ) -> pa.Table:
     """Read a manifest file entry (fragment-aware): the columns of the
-    file that are in *wanted* (all when None).
+    file that are in *wanted* (all when None); see
+    :func:`read_file_table`."""
+    rel, rgs = split_entry(entry)
+    pf = lakefs(target_root).parquet_file(rel)
+    return read_file_table(pf, rel, rgs, wanted, use_threads, rows, merge_key_alias)
+
+
+def read_file_table(
+    pf: pq.ParquetFile,
+    rel: str,
+    rgs: list[int] | None,
+    wanted: set[str] | None = None,
+    use_threads: bool = True,
+    rows: np.ndarray | None = None,
+    merge_key_alias: str | None = None,
+) -> pa.Table:
+    """The row groups *rgs* (all when None) of *pf*, the open data file
+    *rel*: the columns of the file that are in *wanted* (all when None).
 
     With *merge_key_alias* (the manifest's), ``arcane_merge_key`` is the
     alias column under that name, appended without a copy for a string
@@ -584,13 +602,12 @@ def read_entry_table(
     column while *wanted* names it raises :class:`MergeKeyMissingError`
     instead of reading null keys.
 
-    With *rows* — ascending row positions within the entry — decode only
-    the row groups that hold them and return just those rows, in order
-    (the payload phase of a key-first resolve).  The footer comes from
+    With *rows* — ascending row positions within those row groups —
+    decode only the row groups that hold them and return just those
+    rows, in order (the payload phase of a key-first resolve).  Readers
+    open *pf* through ``LakeFS.parquet_file``, whose footer comes from
     the lake's footer cache (``fs.FOOTERS``): committed data files are
     never rewritten, so each is parsed once per process."""
-    rel, rgs = split_entry(entry)
-    pf = lakefs(target_root).parquet_file(rel)
     names = pf.schema_arrow.names
     if merge_key_alias is None:
         if wanted is not None and MERGE_KEY_COL in wanted and MERGE_KEY_COL not in names:
@@ -792,24 +809,30 @@ def apply_key_deletes(
     key_col: str = MERGE_KEY_COL,
     version_col: str = VERSION_COL,
 ) -> pa.Table:
-    """Apply this partition's committed equality-delete files (K9b) to
-    LWW-resolved rows: drop rows whose canonical merge-key string is in
-    the delete file AND whose winning version is ≤ the delete's commit
-    watermark — a key re-upserted after the delete survives (Iceberg v2
-    equality deletes scoped by sequence number)."""
+    """Apply committed equality-delete files (K9b) to LWW-resolved rows:
+    drop rows whose canonical merge-key string is in a delete file AND
+    whose winning version is ≤ that delete's commit watermark — a key
+    re-upserted after the delete survives (Iceberg v2 equality deletes
+    scoped by sequence number).  The files of one commit (one watermark)
+    filter in one pass."""
+    by_watermark: dict[int, list[str]] = {}
     for entry in key_delete_entries or []:
+        by_watermark.setdefault(entry["watermark"], []).append(entry["file"])
+    fs = lakefs(target_root)
+    for watermark, files in by_watermark.items():
         if t.num_rows == 0:
             break
-        dk = lakefs(target_root).read_table(
-            entry["file"], columns=[MERGE_KEY_COL]
-        )[MERGE_KEY_COL].combine_chunks()
+        dk = pa.concat_arrays([
+            fs.read_table(f, columns=[MERGE_KEY_COL])[MERGE_KEY_COL].combine_chunks()
+            for f in files
+        ])
         name = MERGE_KEY_COL if MERGE_KEY_COL in t.column_names else key_col
         col = t[name]
         if not (pa.types.is_string(col.type) or pa.types.is_large_string(col.type)):
             col = pc.cast(col, pa.string())  # the canonical hash/key domain
         mask = pc.and_kleene(
             pc.is_in(col, value_set=dk),
-            pc.less_equal(t[version_col], pa.scalar(entry["watermark"], pa.int64())),
+            pc.less_equal(t[version_col], pa.scalar(watermark, pa.int64())),
         )
         # null key/version comparisons stay null -> treated as
         # non-matching (row KEPT), same contract as delete predicates
@@ -817,10 +840,19 @@ def apply_key_deletes(
     return t
 
 
+class Partition(NamedTuple):
+    """One partition's committed entries, as a resolve reads them: base
+    files (LWW-resolved and alive), the delta chain (manifest entries,
+    ``#rg=`` slices included) and its equality-delete files."""
+
+    base: Sequence[str] = ()
+    deltas: Sequence[str] = ()
+    key_deletes: Sequence[dict] = ()
+
+
 def resolve_partition_table(
     target_root: str,
-    base_files: list[str],
-    delta_files: list[str],
+    parts: Sequence[Partition],
     schema: pa.Schema,
     key_filter: pa.Array | None = None,
     key_col: str = MERGE_KEY_COL,
@@ -828,37 +860,64 @@ def resolve_partition_table(
     bloom_column: str | None = None,
     stats: dict | None = None,
     delete_predicates=None,
-    key_deletes=None,
     merge_key_alias: str | None = None,
 ) -> pa.Table:
-    """Merge-on-read resolve of ONE partition: LWW across base + deltas,
-    tombstones dropped.  Partitions are key-disjoint, so this is exact.
-    *key_filter* prunes rows early (point lookups) — filtering by key
-    before LWW is safe because every version of a key lives in the same
-    partition.  With *bloom_column*, files whose bloom sidecar rules out
-    every probed key are skipped entirely (no false negatives, so
-    skipping cannot change the LWW outcome for the probed keys).
+    """Merge-on-read resolve of a run of partitions (a *block*): LWW
+    across each partition's base + deltas, tombstones dropped, then its
+    equality deletes and the table's delete predicates.  The output is
+    the concat of the partitions' resolves, in order: partition, then
+    entry, then row order within the entry.
 
-    A key-filtered resolve over deltas runs key first
-    (:func:`_resolve_key_first`): it decodes the LWW columns of every
-    entry, and the rest of *schema* only for the winning rows.  Without
-    deltas every key-matching row is already a winner, so that read
-    stays one pass over each file, as does a resolve without a key
-    filter (nearly every row wins).  The output order is the same on
-    every path: entry order, then row order within the entry.
-    ``stats["files_read"]`` counts the entries opened (once each, in the
-    key phase) and ``stats["files_skipped"]`` those the bloom sidecars
-    ruled out.  *merge_key_alias* is the manifest's (see
-    :func:`read_entry_table`)."""
+    Without *key_filter* the block resolves at once
+    (:func:`_resolve_block`): each file is read once, and one LWW runs
+    over the rows of every partition with deltas — exact, because
+    partitions are key-disjoint.
+
+    A key-filtered resolve (point lookups, change-feed probes) takes a
+    run of one partition; *key_filter* prunes rows early — filtering by
+    key before LWW is safe because every version of a key lives in the
+    same partition.  With *bloom_column*, files whose bloom sidecar
+    rules out every probed key are skipped entirely (no false
+    negatives, so skipping cannot change the LWW outcome for the probed
+    keys).  Over deltas it runs key first (:func:`_resolve_key_first`):
+    it decodes the LWW columns of every entry, and the rest of *schema*
+    only for the winning rows.  Without deltas every key-matching row is
+    already a winner, so that read stays one pass over each file.
+    ``stats["files_read"]`` counts the entries opened (once each, in
+    the key phase) and ``stats["files_skipped"]`` those the bloom
+    sidecars ruled out.  *merge_key_alias* is the manifest's (see
+    :func:`read_file_table`)."""
+    if key_filter is None:
+        combined = _resolve_block(target_root, parts, schema, key_col, use_threads, merge_key_alias)
+    else:
+        (part,) = parts
+        combined = _resolve_keyed(
+            target_root, part, schema, key_filter, key_col, use_threads, bloom_column, stats,
+            merge_key_alias,
+        )
+    if delete_predicates:
+        combined = apply_delete_predicates(combined, delete_predicates)
+    return combined
+
+
+def _resolve_keyed(
+    target_root: str,
+    part: Partition,
+    schema: pa.Schema,
+    key_filter: pa.Array,
+    key_col: str,
+    use_threads: bool,
+    bloom_column: str | None,
+    stats: dict | None,
+    merge_key_alias: str | None,
+) -> pa.Table:
+    """One partition's key-filtered resolve, equality deletes applied;
+    see :func:`resolve_partition_table`."""
     fs = lakefs(target_root)
     entries = []
-    for entry in list(base_files) + list(delta_files):
+    for entry in list(part.base) + list(part.deltas):
         rel, _ = split_entry(entry)
-        if (
-            key_filter is not None
-            and bloom_column is not None
-            and bloom_sidecar_excludes(fs, rel, bloom_column, key_filter)
-        ):
+        if bloom_column is not None and bloom_sidecar_excludes(fs, rel, bloom_column, key_filter):
             if stats is not None:
                 stats["files_skipped"] = stats.get("files_skipped", 0) + 1
             continue
@@ -867,11 +926,12 @@ def resolve_partition_table(
         entries.append(entry)
     if not entries:
         return schema.empty_table()
-    if key_filter is not None and delta_files:
+    if part.deltas:
         combined = _resolve_key_first(
             target_root, entries, schema, key_filter, key_col, use_threads, merge_key_alias
         )
     else:
+        # base files are already LWW-resolved and alive
         wanted = set(schema.names)
         tables = []
         for entry in entries:
@@ -879,18 +939,136 @@ def resolve_partition_table(
                 target_root, entry, wanted, use_threads=use_threads,
                 merge_key_alias=merge_key_alias,
             )
-            if key_filter is not None:
-                t = t.filter(pc.is_in(t[key_col], value_set=key_filter))
+            t = t.filter(pc.is_in(t[key_col], value_set=key_filter))
             tables.append(cast_to_schema(t, schema))
         combined = pa.concat_tables(tables)
-        if delta_files:
-            combined, _ = lww_alive(combined)
-        # else: base files are already LWW-resolved and alive
+    if part.key_deletes:
+        combined = apply_key_deletes(combined, target_root, part.key_deletes, key_col)
+    return combined
+
+
+def _resolve_block(
+    target_root: str,
+    parts: Sequence[Partition],
+    schema: pa.Schema,
+    key_col: str,
+    use_threads: bool,
+    merge_key_alias: str | None,
+) -> pa.Table:
+    """The unfiltered resolve of a block of partitions, equality deletes
+    applied: the rows of every entry (:func:`_read_block_entries`), one
+    LWW (tombstones out, as :func:`lww_alive`) over the rows of the
+    partitions with deltas (a partition without deltas holds base files
+    only, already LWW-resolved and alive), then the block's equality
+    deletes."""
+    entries = [split_entry(e) for p in parts for e in (*p.base, *p.deltas)]
+    if not entries:
+        return schema.empty_table()
+    pieces = _read_block_entries(target_root, entries, schema, use_threads, merge_key_alias)
+    combined = pa.concat_tables(pieces)
+    # per piece: does its partition have deltas (its rows take part in the LWW)?
+    lww = np.repeat([bool(p.deltas) for p in parts], [len(p.base) + len(p.deltas) for p in parts])
+    if lww.any():
+        rows = np.repeat(lww, [t.num_rows for t in pieces])
+        t = pa.concat_tables([x for x, d in zip(pieces, lww) if d])
+        alive = np.ones(combined.num_rows, dtype=bool)
+        alive[rows] = lww_winner_mask(t) & ~_is_delete(t)
+        if not alive.all():
+            combined = combined.filter(pa.array(alive))
+    # a partition's delete files hold only its own keys
+    key_deletes = [e for p in parts for e in p.key_deletes]
     if key_deletes:
         combined = apply_key_deletes(combined, target_root, key_deletes, key_col)
-    if delete_predicates:
-        combined = apply_delete_predicates(combined, delete_predicates)
     return combined
+
+
+def _read_block_entries(
+    target_root: str,
+    entries: list[tuple[str, list[int] | None]],
+    schema: pa.Schema,
+    use_threads: bool,
+    merge_key_alias: str | None,
+) -> list[pa.Table]:
+    """Each ``(file, row groups)`` entry's rows as *schema*, in order,
+    reading each file once: one :func:`read_file_table` over the union
+    of its entries' row groups, cast once and sliced back per entry.  A
+    block's delta entries are row-group runs of the same pid-sorted
+    files, so the union reads no byte a per-entry read would not."""
+    fs = lakefs(target_root)
+    wanted = set(schema.names)
+    by_file: dict[str, list[int]] = {}
+    for k, (rel, _) in enumerate(entries):
+        by_file.setdefault(rel, []).append(k)
+    out: list = [None] * len(entries)
+    for rel, ks in by_file.items():
+        pf = fs.parquet_file(rel)
+        md = pf.metadata
+        groups = [
+            entries[k][1] if entries[k][1] is not None else range(md.num_row_groups) for k in ks
+        ]
+        union = sorted(set().union(*groups))
+        t = cast_to_schema(
+            read_file_table(
+                pf, rel, None if len(union) == md.num_row_groups else union, wanted,
+                use_threads, merge_key_alias=merge_key_alias,
+            ),
+            schema,
+        )
+        end = dict(zip(union, np.cumsum([md.row_group(g).num_rows for g in union]).tolist()))
+        for k, gs in zip(ks, groups):
+            # an entry's groups are a contiguous run, so its rows are too
+            lo = end[gs[0]] - md.row_group(gs[0]).num_rows
+            out[k] = t.slice(lo, end[gs[-1]] - lo)
+    return out
+
+
+def partition_blocks(
+    target_root: str,
+    parts: Sequence[Partition],
+    schema: pa.Schema,
+    max_bytes: int | None,
+    merge_key_alias: str | None = None,
+) -> list[list[Partition]]:
+    """*parts* in runs of consecutive partitions, each resolved as one
+    block.  A block grows while its footer bytes — the uncompressed size
+    of *schema*'s columns in its entries' row groups, from the footer
+    cache — stay within *max_bytes* (None: no limit); a partition over
+    the limit alone is a block of its own."""
+    if max_bytes is None or len(parts) <= 1:
+        return [list(parts)] if parts else []
+    fs = lakefs(target_root)
+    names = set(schema.names)
+    if merge_key_alias is not None and MERGE_KEY_COL in names:
+        names = (names - {MERGE_KEY_COL}) | {merge_key_alias}  # a stored copy is never read
+    sizes: dict[str, list[int]] = {}  # per file: the read columns' bytes per row group
+
+    def entry_bytes(entry: str) -> int:
+        rel, rgs = split_entry(entry)
+        if rel not in sizes:
+            md = fs.parquet_file(rel).metadata
+            cols = [
+                j for j in range(md.num_columns)
+                if md.schema.column(j).path.split(".")[0] in names
+            ]
+            sizes[rel] = [
+                sum(md.row_group(g).column(j).total_uncompressed_size for j in cols)
+                for g in range(md.num_row_groups)
+            ]
+        per_group = sizes[rel]
+        return sum(per_group) if rgs is None else sum(per_group[g] for g in rgs)
+
+    blocks: list[list[Partition]] = []
+    block: list[Partition] = []
+    size = 0
+    for p in parts:
+        n = sum(entry_bytes(e) for e in (*p.base, *p.deltas))
+        if block and size + n > max_bytes:
+            blocks.append(block)
+            block, size = [], 0
+        block.append(p)
+        size += n
+    blocks.append(block)
+    return blocks
 
 
 def _resolve_key_first(
@@ -1035,14 +1213,12 @@ def change_feed_partition(
     probe_schema = pa.schema([f for f in schema if f.name in probe_need])
     prior = resolve_partition_table(
         target_root,
-        base_at_from,
-        deltas_at_from,
+        [Partition(base_at_from, deltas_at_from, key_deletes or ())],
         probe_schema,
         key_filter=keys,
         key_col=key_col,
         bloom_column=key_col,
         delete_predicates=delete_predicates,
-        key_deletes=key_deletes,
         merge_key_alias=merge_key_alias,
     )
     prior_keys = prior[key_col].combine_chunks()

@@ -39,6 +39,36 @@ def test_stream_context_from_env():
     assert ctx.stream_mode.backfill_id == "bf-7"
 
 
+def test_observability_log_level_is_checked_and_applied(tmp_path):
+    """``observability.log_level`` names a ``logging`` level (any case;
+    an unknown name fails the parse) and ``StreamRunner`` sets it on the
+    engine's ``arcane_ray`` loggers."""
+    import logging
+
+    from arcane_stream_sqlserver_change_tracking_ray.pipelines.runner import StreamRunner
+
+    with pytest.raises(ValueError, match="log_level"):
+        StreamContext.from_dict({"observability": {"logLevel": "LOUD"}})
+
+    def ctx(level: str) -> StreamContext:
+        return StreamContext.from_dict({
+            "sink": {"target_root": str(tmp_path / "tgt")},
+            "observability": {"logLevel": level},
+        })
+
+    assert ctx("warning").observability.log_level == "WARNING"
+    engine, runner_log = logging.getLogger("arcane_ray"), logging.getLogger("arcane_ray.runner")
+    was = engine.level
+    try:
+        StreamRunner(ctx("warning")).close()
+        assert engine.level == logging.WARNING
+        assert not runner_log.isEnabledFor(logging.INFO)
+        StreamRunner(ctx("DEBUG")).close()
+        assert runner_log.isEnabledFor(logging.DEBUG)
+    finally:
+        engine.setLevel(was)
+
+
 def test_stream_context_unknown_key_rejected():
     with pytest.raises(ValueError, match="unknown SourceSettings setting"):
         StreamContext.from_dict({"source": {"nope": 1}})

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import arcane_stream_sqlserver_change_tracking_ray.stages.merge as merge_mod
 from arcane_stream_sqlserver_change_tracking_ray.stages.merge import (
+    Partition,
     change_feed_partition,
     resolve_partition_table,
     write_bloom_sidecar,
@@ -141,13 +142,12 @@ def _build(root: str, ch: dict):
     return base, deltas, key_deletes, preds
 
 
-def _one_pass(target_root, base_files, delta_files, schema, key_filter=None,
-              key_col=MERGE_KEY_COL, delete_predicates=None, key_deletes=None, **_):
+def _one_pass(target_root, parts, schema, key_filter=None,
+              key_col=MERGE_KEY_COL, delete_predicates=None, **_):
     """The reference: resolve every row of the partition in one pass
     (every column of every entry), then keep the probed keys."""
     full = resolve_partition_table(
-        target_root, base_files, delta_files, schema,
-        delete_predicates=delete_predicates, key_deletes=key_deletes,
+        target_root, parts, schema, delete_predicates=delete_predicates
     )
     if key_filter is None:
         return full
@@ -175,12 +175,13 @@ def test_key_first_equals_one_pass_resolve(lake_base, ch):
     probe = pa.array(sorted(set(ch["probe"])), pa.string())
 
     stats: dict = {}
+    part = [Partition(base, deltas, kdel)]
     got = resolve_partition_table(
-        root, base, deltas, SCHEMA, key_filter=probe, key_col=KEY, bloom_column=KEY,
-        stats=stats, delete_predicates=preds, key_deletes=kdel,
+        root, part, SCHEMA, key_filter=probe, key_col=KEY, bloom_column=KEY,
+        stats=stats, delete_predicates=preds,
     )
-    want = _one_pass(root, base, deltas, SCHEMA, key_filter=probe, key_col=KEY,
-                     delete_predicates=preds, key_deletes=kdel)
+    want = _one_pass(root, part, SCHEMA, key_filter=probe, key_col=KEY,
+                     delete_predicates=preds)
     assert got.schema == SCHEMA
     assert got.equals(want), (got.to_pydict(), want.to_pydict())
     assert stats.get("files_read", 0) + stats.get("files_skipped", 0) == len(base) + len(deltas)
@@ -244,7 +245,8 @@ def test_lookup_decodes_payload_of_the_winner_only(tmp_path, backend):
         stats: dict = {}
         with recorded_reads() as reads:
             got = resolve_partition_table(
-                root, [], deltas, SCHEMA, key_filter=pa.array([key]), key_col=KEY, stats=stats
+                root, [Partition((), deltas)], SCHEMA, key_filter=pa.array([key]), key_col=KEY,
+                stats=stats,
             )
         assert got.num_rows == rows
         assert _payload_reads(reads) == payload_entries, key
@@ -254,7 +256,8 @@ def test_lookup_decodes_payload_of_the_winner_only(tmp_path, backend):
     # two live keys whose winners sit in the same entry: one payload read
     with recorded_reads() as reads:
         got = resolve_partition_table(
-            root, [], deltas, SCHEMA, key_filter=pa.array([POOL[2], POOL[4]]), key_col=KEY
+            root, [Partition((), deltas)], SCHEMA, key_filter=pa.array([POOL[2], POOL[4]]),
+            key_col=KEY,
         )
     assert got[KEY].to_pylist() == [POOL[2], POOL[4]]
     assert _payload_reads(reads) == [deltas[3]]
@@ -270,7 +273,7 @@ def test_folded_lookup_reads_each_file_once(tmp_path):
     ]
     with recorded_reads() as reads:
         got = resolve_partition_table(
-            root, base, [], SCHEMA, key_filter=pa.array([POOL[1], POOL[4]]), key_col=KEY
+            root, [Partition(base)], SCHEMA, key_filter=pa.array([POOL[1], POOL[4]]), key_col=KEY
         )
     assert got[KEY].to_pylist() == [POOL[1], POOL[4]]
     assert reads == [(e, frozenset(SCHEMA.names)) for e in base]

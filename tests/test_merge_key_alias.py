@@ -360,6 +360,57 @@ def test_analyze_bounds_the_aliased_key_when_the_alias_is_a_string(tmp_path, mon
     assert planned == [1 if kind == "str" else len(files)]
 
 
+@pytest.mark.parametrize("kind", ["str", "int"])
+def test_a_merge_key_term_is_pushed_into_the_scan_when_the_alias_is_a_string(
+    tmp_path, monkeypatch, kind
+):
+    """With no deltas, a ``where`` term on an aliased ``arcane_merge_key``
+    is pushed into each file's scan as a term on a string key column, so
+    row-group statistics can skip groups; an int key's string cast does
+    not compare like the column, so its term still filters after the
+    read.  Both return the matching rows of the table."""
+    from arcane_stream_sqlserver_change_tracking_ray.pipelines import runner as runner_mod
+    from arcane_stream_sqlserver_change_tracking_ray.pqio import ReadUnit
+
+    ctlog = str(tmp_path / "ctlog")
+    os.makedirs(ctlog)
+    events = [(k, "U", LANGS[k % 2]) for k in range(12)]
+    pq.write_table(_segment(events, 0), segment_path(ctlog, 0, len(events)))
+    tgt = str(tmp_path / "tgt")
+    prepare_watermark(tgt, 0, num_partitions=3)
+    ctx, log = _ctx(ctlog, tgt, kind), ManifestLog(tgt)
+    _cycle(ctx, legacy=False)
+    optimize(log, ctx)  # no deltas, and no ANALYZE bounds to skip files by
+    m = log.latest()
+    assert m.merge_key_alias == KEYS[kind][0] and not m.file_stats
+
+    keys = sorted(_merge_keys(kind, range(12), [LANGS[k % 2] for k in range(12)]))
+    lo, hi = keys[3], keys[7]
+    where = [[MERGE_KEY_COL, ">=", lo], [MERGE_KEY_COL, "<=", hi], ["lang", "==", "en"]]
+    planned: list = []
+    real = runner_mod.units_dataset
+    monkeypatch.setattr(
+        runner_mod, "units_dataset", lambda units: planned.extend(units) or real(units)
+    )
+    got = _materialize(read_target(tgt, drop_meta=False, where=where))
+    table = read_target_table(tgt, drop_meta=False)
+    want = [
+        (k, url) for k, url, lang in zip(
+            table[MERGE_KEY_COL].to_pylist(), table["url"].to_pylist(), table["lang"].to_pylist()
+        )
+        if lo <= k <= hi and lang == "en"
+    ]
+    assert want
+    assert sorted(zip(got[MERGE_KEY_COL].to_pylist(), got["url"].to_pylist())) == sorted(want)
+    assert got.column_names == table.column_names
+    assert len(planned) == len(m.all_files())
+    if kind == "str":
+        assert all(isinstance(u, ReadUnit) for u in planned)
+        assert all("url" in str(u.filter) and MERGE_KEY_COL not in str(u.filter) for u in planned)
+    else:
+        assert not any(isinstance(u, ReadUnit) for u in planned)
+
+
 # ---------------------------------------------------------------------------
 # the null guard, the fixed alias and sources that ship the column
 # ---------------------------------------------------------------------------

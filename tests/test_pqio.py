@@ -384,7 +384,8 @@ def test_read_target_plans_from_the_manifest(tmp_lake, monkeypatch, merge_mode):
 def test_partition_fanouts_spread_over_workers(tmp_lake, tmp_path, monkeypatch):
     """On a Ray of >= 2 CPUs, a P=8 merge-on-read ``read_target``, a
     change feed and OPTIMIZE each resolve their partitions in more than
-    one worker process and in at most one task per CPU.  (A Ray Data
+    one worker process and in at most one task per CPU; ``read_target``
+    resolves each task's run of partitions in one call.  (A Ray Data
     ``map_batches(batch_size=1)`` over one block of partition ids ran
     every partition in ONE task.)"""
     from arcane_stream_sqlserver_change_tracking_ray.stages import maintenance, merge
@@ -462,6 +463,8 @@ def test_partition_fanouts_spread_over_workers(tmp_lake, tmp_path, monkeypatch):
 
     for kind in ("read", "feed", "optimize"):
         calls, workers, tasks = seen(kind)
-        assert calls == 8, kind
+        # a read task resolves its run of partitions as one block (the
+        # table is far below DataContext.target_max_block_size)
+        assert calls == (min(cpus, 8) if kind == "read" else 8), kind
         assert workers >= 2, kind
         assert tasks <= cpus, kind
