@@ -10,7 +10,7 @@ A from-scratch rebuild of the query & data-processing capabilities of
   hash-partitions the events,
 - a per-partition last-writer-wins merge upserts into a partitioned
   Parquet lake table: direct per-task delta files under merge-on-read,
-  partition-owner actors that rewrite partitions under copy-on-write,
+  per-run fold tasks that rewrite partitions under copy-on-write,
 - every cycle commits atomically through a version/watermark manifest
   log so replay-after-crash is exactly-once.
 

@@ -139,8 +139,9 @@ class SinkSettings:
     #: zero-overhead; right for small tables / high read:write ratios).
     #: The mode alone picks the writer: "mor" runs
     #: ``apply_change_batch_direct`` (each task writes its own pid-sorted
-    #: delta file, no exchange); "cow" runs ``ActorMergePool``
-    #: (min(num_partitions, cluster CPUs) persistent partition-owner actors).
+    #: delta file, no exchange); "cow" runs ``ActorMergePool`` (unit
+    #: tasks route rows to min(num_partitions, cluster CPUs) fold tasks,
+    #: each rewriting its run of partitions; no actors).
     merge_mode: str = "mor"
     #: fsync data files before the manifest commit and the manifest log
     #: dir after it, so a published manifest never references

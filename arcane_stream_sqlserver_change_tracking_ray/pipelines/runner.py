@@ -214,7 +214,8 @@ class StreamRunner:
         self.casts = casts or {}
         self.log = ManifestLog(ctx.sink.target_root)
         self.tailer: ChangeFeedTailer | None = None
-        self._pool: ActorMergePool | None = None  # the cow writer, started lazily
+        #: when bootstrap began, until the first cycle after it commits
+        self._t_bootstrap: float | None = None
         self._transform = TransformStage(ctx, self.casts)
         self.retry = RetryPolicy.from_sink(ctx.sink)
         # fail fast on malformed partitionExpressions (bootstrap-time,
@@ -227,28 +228,23 @@ class StreamRunner:
         self._telemetry = StatsdPublisher.from_ctx(ctx.observability)
 
     def close(self) -> None:
-        """Release the persistent merge-actor pool (if any)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        """Release the metrics socket (if any)."""
         if self._telemetry is not None:
             self._telemetry.close()
             self._telemetry = None
 
-    def _cow_pool(self, num_partitions: int, hash_algo: str) -> ActorMergePool:
-        """The runner's persistent owner-actor pool, started on first use."""
-        if self._pool is None:
-            sink = self.ctx.sink
-            self._pool = ActorMergePool(
-                target_root=sink.target_root,
-                num_partitions=num_partitions,
-                compression=sink.parquet_compression,
-                max_rows_per_file=sink.max_rows_per_file,
-                fsync=sink.durable_writes,
-                bloom_columns=tuple(sink.bloom_filter_columns),
-                hash_algo=hash_algo,
-            )
-        return self._pool
+    def _cow_writer(self, manifest: Manifest) -> ActorMergePool:
+        """The cow writer for *manifest*'s partitioning (it holds no state)."""
+        sink = self.ctx.sink
+        return ActorMergePool(
+            target_root=sink.target_root,
+            num_partitions=manifest.num_partitions,
+            compression=sink.parquet_compression,
+            max_rows_per_file=sink.max_rows_per_file,
+            fsync=sink.durable_writes,
+            bloom_columns=tuple(sink.bloom_filter_columns),
+            hash_algo=manifest.key_hash_algo,
+        )
 
     def _target_units(self) -> int | None:
         """``blocks_per_cpu x CPUs``: how many read units a read is split
@@ -286,9 +282,10 @@ class StreamRunner:
         merge_key_alias: str | None,
     ) -> list[dict]:
         """Write one change batch with the merge mode's writer: direct
-        per-task deltas for ``mor``, the owner-actor pool for ``cow``.
-        Both run one task per read unit, applying *transform* to what it
-        reads, and store no ``arcane_merge_key`` under *merge_key_alias*."""
+        per-task deltas for ``mor``, unit tasks plus one fold task per run
+        of partitions for ``cow``.  Both run one task per read unit,
+        applying *transform* to what it reads, and store no
+        ``arcane_merge_key`` under *merge_key_alias*."""
         sink = self.ctx.sink
         if sink.merge_mode not in ("mor", "cow"):
             raise ValueError(
@@ -323,8 +320,7 @@ class StreamRunner:
             pid: manifest.partitions.get(pid, []) + manifest.deltas.get(pid, [])
             for pid in manifest.partition_pids()
         }
-        pool = self._cow_pool(manifest.num_partitions, manifest.key_hash_algo)
-        return pool.apply_change_batch(
+        return self._cow_writer(manifest).apply_change_batch(
             units,
             transform=transform,
             cycle_id=cycle_id,
@@ -345,6 +341,7 @@ class StreamRunner:
         Raises ``InvalidWatermarkError`` when no watermark was prepared —
         the reference's fail-fast negative test (StreamRunner.scala:167-185).
         """
+        self._t_bootstrap = time.perf_counter()
         manifest = self.log.require_watermark()
         _check_merge_key_alias(manifest, self._transform.merge_key_alias)
         swept = self.log.sweep_uncommitted(
@@ -519,6 +516,9 @@ class StreamRunner:
                 "cycle_s": round(time.perf_counter() - t0, 4),
             }
         )
+        if self._t_bootstrap is not None:
+            # restart downtime: bootstrap to the first commit after it
+            metrics["first_commit_s"] = round(time.perf_counter() - self._t_bootstrap, 4)
         nxt.metrics = metrics
         nxt.counters["cycles"] = nxt.counters.get("cycles", 0) + 1
         nxt.counters["batches_since_maintenance"] = (
@@ -529,6 +529,7 @@ class StreamRunner:
             backfill=self.ctx.stream_mode.backfill,
         )
         self.tailer.advance(hi)
+        self._t_bootstrap = None
         if self._telemetry is not None:
             # push half of F4 (fire-and-forget; manifest holds the durable copy)
             self._telemetry.publish_cycle(metrics)
@@ -711,9 +712,7 @@ class StreamRunner:
             cycle_id = f"backfill-{backfill_id}-s{si:04d}"
             # overwrite writes a fresh BASE layout through the cow writer,
             # never deltas; partition_files={} ignores the current target
-            stats = self._cow_pool(
-                manifest.num_partitions, manifest.key_hash_algo
-            ).apply_change_batch(
+            stats = self._cow_writer(manifest).apply_change_batch(
                 self._plan([shard_file]),
                 transform=_AsInsertEvents(stamp, self._transform),
                 cycle_id=cycle_id,

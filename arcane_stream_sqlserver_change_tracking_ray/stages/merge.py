@@ -16,9 +16,10 @@ upsert all columns.  The reference delegates this to a Trino SQL
 3. **write**, one writer per merge mode:
    - ``mor``: ``apply_change_batch_direct`` — each task writes its own
      pid-sorted delta file; no exchange, base files never read;
-   - ``cow``: ``ActorMergePool`` — tasks ship pid slices to persistent
-     partition-owner actors, which read the partition's current files,
-     apply LWW, drop tombstones and rewrite the partition
+   - ``cow``: ``ActorMergePool`` — tasks return their rows in one
+     object per run of consecutive pids; one task per run (at most one
+     per CPU) reads those partitions' current files, applies one LWW
+     over the run, drops tombstones and rewrites each partition
      copy-on-write.
    Every file lands under an attempt-unique ``cycles/<id>/`` dir;
    nothing is visible until the manifest commit.
@@ -27,15 +28,13 @@ Partition routing must be stable ACROSS runs and processes (files
 persist): we use ``pandas.util.hash_array`` (SipHash with a fixed key),
 never Python's salted ``hash()``.
 
-The owner actors key partition state to a single owner the way Flink
-keys operator state to key groups (Carbone et al., "State Management
-in Apache Flink", VLDB 2017 — PAPERS.md); the manifest log follows
-Delta Lake's mutual-exclusion-on-rename protocol (Armbrust et al.,
-VLDB 2020).
+The manifest log follows Delta Lake's mutual-exclusion-on-rename
+protocol (Armbrust et al., VLDB 2020).
 
-Scale notes: only partitions touched by the cycle are rewritten; an
-owner holds (the cycle's changes for its partitions) + (one
-partition's current files) — size P so target_size/P is ~0.5-2 GB.
+Scale notes: only partitions touched by the cycle are rewritten; a cow
+fold task holds the cycle's changes for its run of P/CPUs partitions
+plus the current files of the touched ones — up to target_size/CPUs
+when a cycle touches every partition.
 Tombstones need no persisted set: cycles apply strictly in version
 order (monotone watermark), so a delete at version v can never be
 trumped by a late event with version < v.
@@ -141,7 +140,7 @@ def partition_ids(keys, num_partitions: int, algo: str = "pandas") -> np.ndarray
 
 #: skip the push-side LWW combine when a batch's duplicate-key rate is
 #: below this: at low dup rates the string sort costs more than shipping
-#: the few duplicate rows (owners apply exact LWW at flush regardless);
+#: the few duplicate rows (the cow fold and every read resolve exact LWW);
 #: at hot-key-storm rates the combine collapses the storm pre-exchange
 PRECOMBINE_DUP_THRESHOLD = 0.25
 
@@ -1393,18 +1392,24 @@ def run_units(units, transform, fn) -> list:
     returns the results in unit order.
 
     *units* is a list of ``pqio.ReadUnit`` or a ``ray.data.Dataset``.
-    A Dataset is adapted here and only here, through
+    A Dataset is adapted in :func:`_submit_units` only, through
     ``Dataset.to_arrow_refs()``: each block ref is a unit that the task
     receives as its (resolved) argument.  A task takes one CPU, so at
-    most one runs per CPU, and it returns only its writer's stats rows,
-    so decoded data never enters the object store and the cycle needs
-    no Ray Data executor."""
+    most one runs per CPU, and the cycle needs no Ray Data executor.
+    The cow writer starts the same tasks through :func:`_submit_units`,
+    which hands it each task's extra returns as objects."""
     import ray
 
+    return ray.get(_submit_units(units, transform, fn))
+
+
+def _submit_units(units, transform, fn, num_returns: int = 1) -> list:
+    """Start :func:`run_units`' tasks; returns each task's object ref,
+    or its list of *num_returns* refs (the caller owns those objects)."""
     if hasattr(units, "to_arrow_refs"):  # a ray.data.Dataset
         units = units.to_arrow_refs()
-    task = _remote(_unit_task)
-    return ray.get([task.remote(u, transform, fn, i) for i, u in enumerate(units)])
+    task = _remote(_unit_task).options(num_returns=num_returns)
+    return [task.remote(u, transform, fn, i) for i, u in enumerate(units)]
 
 
 def run_per_cpu(fn, items: list) -> list:
@@ -1461,12 +1466,12 @@ def apply_change_batch_direct(
     OPTIMIZE fold re-clusters when it rewrites base files (Iceberg
     compaction's posture).
 
-    Why: the owner-actor exchange round-trips the full change payload
-    through the object store (serialize → plasma → deserialize → buffer
-    → write) before anything hits disk.  On bandwidth-bound hosts that
+    Why: the cow writer's exchange round-trips the full change payload
+    through the object store (serialize → plasma → deserialize → write)
+    before anything hits disk.  On bandwidth-bound hosts that
     copy chain is the non-scaling term of the cycle (BENCH/BASELINE.md
     round-2 profile: the push stage stayed flat from 2→8 CPUs while the
-    owner flush scaled).
+    flush scaled).
     Direct mode keeps the data inside the unit's task: read → transform →
     route (one argsort + one gather) → zstd to disk.  There is no
     barrier besides the tiny per-task stats collection, and no state —
@@ -1476,7 +1481,7 @@ def apply_change_batch_direct(
     (``lww_table``), so cross-task duplicate keys within a cycle are
     resolved at read/OPTIMIZE exactly as cross-cycle duplicates already
     are; tombstones are retained in the delta.  The per-cycle combine
-    the owner actors performed was an optimization, not a correctness
+    the cow fold performs is an optimization, not a correctness
     point — within-task storms still collapse via the adaptive
     pre-combine.
     """
@@ -1573,151 +1578,128 @@ def apply_change_batch_direct(
 
 
 # ---------------------------------------------------------------------------
-# the cow writer: persistent partition-owner merge actors
+# the cow writer: unit tasks route, one fold task per run of partitions
 # ---------------------------------------------------------------------------
-def _make_owner_actor():
-    """Define the owner actor lazily so importing this module never
-    requires an initialized Ray."""
-    import ray
+def fold_partitions(
+    target_root: str,
+    cycle_id: str,
+    partition_files: dict[int, list[str]],
+    changes: dict[int, list[pa.Table]],
+    schema: pa.Schema,
+    *,
+    key_col: str = MERGE_KEY_COL,
+    sorted_by: tuple[str, ...] = (),
+    cluster_by: tuple = (),
+    cluster_min_rows: int = 0,
+    merge_key_alias: str | None = None,
+    compression: str = "zstd",
+    max_rows_per_file: int = 1_000_000,
+    fsync: bool = True,
+    bloom_columns: tuple[str, ...] = (),
+) -> list[dict]:
+    """Rewrite the partitions in *changes* (pid -> that pid's change
+    slices, in unit order) copy-on-write; returns one stats row per pid.
 
-    @ray.remote(num_cpus=0, max_restarts=0)
-    class MergeOwnerActor:
-        """Owns a fixed subset of partitions (pid % A == actor_index).
+    Each pid's rows are its *partition_files* entries (base and pending
+    deltas, each file read once) followed by its slices.  One LWW runs
+    over the rows of every pid at once — exact, because partitions are
+    key-disjoint — and each pid keeps its live winners in their order,
+    is sorted by *sorted_by* and is written by
+    :func:`write_partition_files` on its own, so its files do not depend
+    on which pids share the block.  A pid left with no rows writes no
+    file (``fold_stats_into_manifest`` drops it)."""
+    pids = sorted(changes)
+    entries = [split_entry(e) for pid in pids for e in partition_files.get(pid, [])]
+    read = iter(
+        _read_block_entries(target_root, entries, schema, False, merge_key_alias)
+        if entries else ()
+    )
+    tables, n_changes = [], []
+    for pid in pids:
+        existing = [next(read) for _ in partition_files.get(pid, [])]
+        new = cast_to_schema(pa.concat_tables(
+            [cast_to_schema(ensure_merge_key_alias(t, key_col), schema) for t in changes[pid]]
+        ), schema)
+        n_changes.append(new.num_rows)
+        tables.append(pa.concat_tables(existing + [new]))
+    block = pa.concat_tables(tables)
+    win = lww_winner_mask(block)
+    alive = win & ~_is_delete(block)
+    bounds = np.r_[0, np.cumsum([t.num_rows for t in tables])]
+    out: list[dict] = []
+    for pid, t, n, s, e in zip(pids, tables, n_changes, bounds[:-1], bounds[1:]):
+        keep = alive[s:e]
+        deletes = int(np.count_nonzero(win[s:e])) - int(np.count_nonzero(keep))
+        if not keep.all():
+            t = t.filter(pa.array(keep))
+        if sorted_by:
+            t = t.sort_by([(c, "ascending") for c in sorted_by])
+        fb: dict = {}
+        rels, nbytes = write_partition_files(
+            t, target_root, cycle_id, pid,
+            max_rows_per_file=max_rows_per_file,
+            compression=compression, fsync=fsync,
+            bloom_columns=bloom_columns,
+            cluster_by=cluster_by,
+            cluster_min_rows=cluster_min_rows,
+            bounds_cols=tuple(dict.fromkeys(source_columns(cluster_by) + tuple(sorted_by))),
+            bounds_out=fb,
+            merge_key_alias=merge_key_alias,
+        )
+        out.append(
+            {
+                PID_COL: pid,
+                "rows": t.num_rows,
+                "upserts": n - deletes,
+                "deletes": deletes,
+                "changes_in": n,
+                "bytes": nbytes,
+                "files_json": json.dumps(rels),
+                "mode": "cow",
+                "file_stats_json": json.dumps(fb) if fb else "",
+            }
+        )
+    return out
 
-        Deterministic actor<->partition affinity (SURVEY.md §7.5.2): every
-        change slice for a pid is pushed to its one owner, so per-partition
-        merge state never needs coordination.  ``num_cpus=0`` because the
-        ingest path only appends table slices (microseconds); the heavy
-        flush work runs when the map stage has drained, so the owners use
-        the then-idle CPUs.  On a multi-node cluster you would reserve
-        owners a real CPU and size the map stage to ``cpus - A``.
 
-        The actors are PERSISTENT across poll cycles: allocator arenas and
-        page mappings stay warm, which on this sandbox is worth ~10x on
-        the first post-startup cycle (first-touch page-zeroing).
-        """
+def _slices_by_pid(pieces) -> dict[int, list[pa.Table]]:
+    """pid -> its slices of the routed *pieces* (``(rows, pids)``, each
+    sorted by pid), in piece order."""
+    out: dict[int, list[pa.Table]] = {}
+    for t, pids in pieces:
+        bounds = np.r_[np.flatnonzero(np.r_[True, pids[1:] != pids[:-1]]), len(pids)]
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            out.setdefault(int(pids[s]), []).append(t.slice(s, e - s))
+    return out
 
-        def __init__(
-            self,
-            target_root: str,
-            compression: str,
-            max_rows_per_file: int,
-            fsync: bool = True,
-            bloom_columns: tuple[str, ...] = (),
-        ):
-            self.target_root = target_root
-            self.compression = compression
-            self.max_rows_per_file = max_rows_per_file
-            self.fsync = fsync
-            self.bloom_columns = tuple(bloom_columns)
-            #: pid -> {unit index: that unit's slice}
-            self.buf: dict[int, dict[int, pa.Table]] = {}
 
-        def add(self, unit_index: int, slices: list[tuple[int, pa.Table]]) -> int:
-            """Buffer one unit's slices.  Keyed by unit index, so a
-            retried push replaces its slices instead of doubling them."""
-            for pid, t in slices:
-                self.buf.setdefault(pid, {})[unit_index] = t
-            return sum(t.num_rows for _, t in slices)
-
-        def reset(self) -> None:
-            """Drop buffered deltas (start of cycle / after a failed one)."""
-            self.buf.clear()
-
-        def flush(
-            self,
-            cycle_id: str,
-            partition_files: dict[int, list[str]],
-            schema: pa.Schema,
-            sorted_by: tuple[str, ...] = (),
-            key_col: str = MERGE_KEY_COL,
-            cluster_by: tuple = (),
-            cluster_min_rows: int = 0,
-            merge_key_alias: str | None = None,
-        ) -> list[dict]:
-            """Merge buffered deltas into owned partitions, copy-on-write.
-            With *merge_key_alias* the partition files neither store
-            ``arcane_merge_key`` nor have it decoded."""
-            # NOTE: no package imports inside worker-executed code — when the
-            # driver ships this class by value (foreign-cwd drivers,
-            # __ray_entry__ registers the package with ray.cloudpickle), a
-            # runtime import would fail on workers; use the module globals
-            # captured at definition time (cast_to_schema is imported at the
-            # top of this module).
-            out: list[dict] = []
-            for pid, by_unit in sorted(self.buf.items()):
-                # unit order, not push arrival order: the same feed writes
-                # the same bytes
-                changes = cast_to_schema(pa.concat_tables(
-                    [cast_to_schema(ensure_merge_key_alias(t, key_col), schema)
-                     for _, t in sorted(by_unit.items())]
-                ), schema)
-                n_changes = changes.num_rows
-                existing = []
-                for entry in partition_files.get(pid, []):
-                    existing.append(
-                        cast_to_schema(
-                            read_entry_table(
-                                self.target_root, entry, set(schema.names),
-                                use_threads=False, merge_key_alias=merge_key_alias,
-                            ),
-                            schema,
-                        )
-                    )
-                alive, deletes = lww_alive(pa.concat_tables(existing + [changes]))
-                if sorted_by:
-                    alive = alive.sort_by([(c, "ascending") for c in sorted_by])
-                # fully-deleted partition -> no files; fold_stats then drops
-                # it from the manifest
-                fb: dict = {}
-                rels, nbytes = write_partition_files(
-                    alive, self.target_root, cycle_id, pid,
-                    max_rows_per_file=self.max_rows_per_file,
-                    compression=self.compression, fsync=self.fsync,
-                    bloom_columns=self.bloom_columns,
-                    cluster_by=cluster_by,
-                    cluster_min_rows=cluster_min_rows,
-                    bounds_cols=tuple(dict.fromkeys(
-                        source_columns(cluster_by) + tuple(sorted_by))),
-                    bounds_out=fb,
-                    merge_key_alias=merge_key_alias,
-                )
-                out.append(
-                    {
-                        PID_COL: pid,
-                        "rows": alive.num_rows,
-                        "upserts": n_changes - deletes,
-                        "deletes": deletes,
-                        "changes_in": n_changes,
-                        "bytes": nbytes,
-                        "files_json": json.dumps(rels),
-                        "mode": "cow",
-                        "file_stats_json": json.dumps(fb) if fb else "",
-                    }
-                )
-            self.buf.clear()
-            return out
-
-    return MergeOwnerActor
+def _call(fn, *args):
+    return fn(*args)
 
 
 class ActorMergePool:
-    """Persistent pool of partition-owner actors, one per StreamRunner —
-    the copy-on-write writer.
+    """The copy-on-write writer, on plain Ray tasks.
 
-    Per cycle:  one push task per read unit (``run_units``) reads the
-    unit, applies the caller's transform, LWW-combines the batch, routes
-    rows to pids with the stable hash, slices ONCE (single int64 sort +
-    one payload gather) and ships each owner its slices, tagged with the
-    unit index; then ``flush`` merges each pid's slices in unit order and
-    rewrites the touched partitions in parallel across owners.  No
-    all-to-all operator, no sort barrier: the exchange is point-to-point
-    object transfers.  *units* may also be a ``ray.data.Dataset``.
+    Per cycle: one task per read unit (``run_units``) reads the unit,
+    applies the caller's transform, pre-combines, routes rows to pids
+    with the stable hash and sorts them by pid once; it returns its
+    stats and, as separate objects (``num_returns``, so the driver owns
+    them), its rows for each *fold run* — a contiguous run of pids from
+    ``spread(range(P), cluster_cpus())``.  Then one fold task per run
+    that received rows, at most one per CPU, takes those objects as its
+    arguments and rewrites the run's touched partitions
+    (:func:`fold_partitions`).  The driver sees only stats rows.  No
+    actor, nothing kept between cycles; *units* may also be a
+    ``ray.data.Dataset``.
 
     Pass ``partition_files={}`` to write a fresh base layout that
     ignores the current target (overwrite backfill, ephemeral tables),
     and the manifest's *merge_key_alias* to read and write partition
     files without a stored ``arcane_merge_key``.
+
+    The name is the one of the owner-actor pool this writer replaced:
+    the benchmark's trace hooks bind ``ActorMergePool.apply_change_batch``
+    by name, so it stays until the benchmark rebinds that span.
     """
 
     def __init__(
@@ -1730,14 +1712,13 @@ class ActorMergePool:
         bloom_columns: tuple[str, ...] = (),
         hash_algo: str = "pandas",
     ):
-        self.hash_algo = hash_algo
-        cls = _make_owner_actor()
-        self.actors = [
-            cls.remote(target_root, compression, max_rows_per_file, fsync,
-                       tuple(bloom_columns))
-            for _ in range(max(1, min(num_partitions, cluster_cpus())))
-        ]
+        self.target_root = target_root
         self.num_partitions = num_partitions
+        self.compression = compression
+        self.max_rows_per_file = max_rows_per_file
+        self.fsync = fsync
+        self.bloom_columns = tuple(bloom_columns)
+        self.hash_algo = hash_algo
 
     def apply_change_batch(
         self,
@@ -1756,53 +1737,52 @@ class ActorMergePool:
     ) -> list[dict]:
         import ray
 
-        actors = self.actors
-        A = len(actors)
         P = self.num_partitions
+        runs = spread(list(range(P)), cluster_cpus())
+        # each run's first pid, then P: a pid-sorted batch cuts at these
+        run_starts = np.array([r[0] for r in runs] + [P])
 
-        ray.get([a.reset.remote() for a in actors])
-
-        hash_algo = self.hash_algo
-
-        def push(batch: pa.Table, unit_index: int) -> dict:
+        def route(batch: pa.Table, _index: int) -> tuple:
             rows_in = batch.num_rows
             if rows_in == 0:
-                return {"rows_in": 0, "rows_kept": 0}
+                return ({"rows_in": 0, "rows_kept": 0, "runs": []},) + (None,) * len(runs)
             # hash once; combine only when the dup rate warrants it (M2)
-            keep, h = precombine_and_hash(batch, key_col, hash_algo, precombine_threshold)
+            keep, h = precombine_and_hash(batch, key_col, self.hash_algo, precombine_threshold)
             pid = (h % np.uint64(P)).astype(np.int64)
             order = np.argsort(pid, kind="stable")
             b = gather_kept(batch, keep, order)
             pids = pid[order]
-            bounds = np.r_[np.flatnonzero(np.r_[True, pids[1:] != pids[:-1]]), len(pids)]
-            per_actor: dict[int, list] = {}
-            for s, e in zip(bounds[:-1], bounds[1:]):
-                p = int(pids[s])
-                per_actor.setdefault(p % A, []).append((p, b.slice(s, e - s)))
-            # blocking gets provide backpressure: a task finishes only
-            # after its owners ingested the slices
-            ray.get([actors[a].add.remote(unit_index, sl) for a, sl in per_actor.items()])
-            return {"rows_in": rows_in, "rows_kept": len(keep)}
-
-        pushed = run_units(units, transform, push)
-        flush_refs = [
-            a.flush.remote(
-                cycle_id, partition_files, schema, sorted_by, key_col,
-                cluster_by, cluster_min_rows, merge_key_alias,
+            cuts = np.searchsorted(pids, run_starts)
+            pieces = tuple(
+                (b.slice(s, e - s), pids[s:e]) if e > s else None
+                for s, e in zip(cuts[:-1], cuts[1:])
             )
-            for a in actors
-        ]
-        out = [s for o in ray.get(flush_refs) for s in o]
-        # rows the pre-combine dropped never reach an owner; attribute
+            sent = [k for k, p in enumerate(pieces) if p is not None]
+            return ({"rows_in": rows_in, "rows_kept": len(keep), "runs": sent},) + pieces
+
+        def fold(files: dict, *pieces) -> list[dict]:
+            return fold_partitions(
+                self.target_root, cycle_id, files, _slices_by_pid(pieces), schema,
+                key_col=key_col, sorted_by=tuple(sorted_by), cluster_by=cluster_by,
+                cluster_min_rows=cluster_min_rows, merge_key_alias=merge_key_alias,
+                compression=self.compression, max_rows_per_file=self.max_rows_per_file,
+                fsync=self.fsync, bloom_columns=self.bloom_columns,
+            )
+
+        refs = _submit_units(units, transform, route, num_returns=1 + len(runs))
+        routed = ray.get([r[0] for r in refs])
+        task = _remote(_call)
+        folds = []
+        for k, run in enumerate(runs):
+            # a run's pieces in unit order: the same feed writes the same bytes
+            pieces = [r[1 + k] for r, s in zip(refs, routed) if k in s["runs"]]
+            if pieces:
+                files = {p: partition_files[p] for p in run if p in partition_files}
+                folds.append(task.remote(fold, files, *pieces))
+        out = [s for o in ray.get(folds) for s in o]
+        # rows the pre-combine dropped are in no fold's stats; attribute
         # them to the first stats row, as the direct writer does, so the
         # cycle still accounts every arriving row
         if out:
-            out[0]["combined_away"] = sum(r["rows_in"] - r["rows_kept"] for r in pushed)
+            out[0]["combined_away"] = sum(r["rows_in"] - r["rows_kept"] for r in routed)
         return out
-
-    def shutdown(self) -> None:
-        import ray
-
-        for a in self.actors:
-            ray.kill(a)
-        self.actors = []

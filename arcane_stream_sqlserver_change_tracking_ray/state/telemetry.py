@@ -40,6 +40,8 @@ _CYCLE_METRICS = (
     ("watermark", "watermark", "g"),
     ("cycle_s", "cycle_s", "ms"),
     ("merge_s", "merge_s", "ms"),
+    # only the first cycle committed after a (re)start carries it
+    ("first_commit_s", "first_commit_s", "ms"),
 )
 
 

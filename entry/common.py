@@ -51,7 +51,8 @@ def _register_package_by_value() -> None:
     (workers inherit the raylet's cwd/PYTHONPATH, not the driver's
     ``sys.path``).  Registering every package module with Ray's
     cloudpickle makes all map_batches callables, closures and the merge
-    owner actor self-contained — no import needed on workers."""
+    writers' task functions self-contained — no import needed on
+    workers."""
     try:
         from ray import cloudpickle
 

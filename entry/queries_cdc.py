@@ -77,8 +77,9 @@ def _events_change_schema(sf_dir: str) -> pa.Schema:
 
 def cdc_lww_upsert(sf_dir: str) -> pa.Table:
     """Full merge path (M1): hash-partitioned copy-on-write LWW upsert of
-    the events feed into a fresh target table through the owner-actor
-    pool (the cow writer), then read it back."""
+    the events feed into a fresh target table through the cow writer
+    (unit tasks, then one fold task per run of partitions), then read it
+    back."""
     import ray
 
     from arcane_stream_sqlserver_change_tracking_ray.config import (
@@ -91,7 +92,7 @@ def cdc_lww_upsert(sf_dir: str) -> pa.Table:
     import pyarrow.parquet as pq
     import os
 
-    # one push task per read unit, planned as a poll plans its segments
+    # one unit task per read unit, planned as a poll plans its segments
     cpus = int(ray.cluster_resources().get("CPU", 1))
     units = plan_units(
         [f"{sf_dir}/events.parquet"],
@@ -103,13 +104,10 @@ def cdc_lww_upsert(sf_dir: str) -> pa.Table:
     try:
         # ephemeral table: fast routing hash
         pool = ActorMergePool(target_root=tmp, num_partitions=8, hash_algo="polars")
-        try:
-            stats = pool.apply_change_batch(
-                units, transform=_EventsAsChanges(), cycle_id="q",
-                partition_files={}, schema=schema,
-            )
-        finally:
-            pool.shutdown()
+        stats = pool.apply_change_batch(
+            units, transform=_EventsAsChanges(), cycle_id="q",
+            partition_files={}, schema=schema,
+        )
         import json
 
         tables = []

@@ -3,7 +3,7 @@ restart it, and require byte-identical convergence with the oracle
 (north_rule: replay after crash yields the exactly-once final table).
 
 Uses the real CLI in a subprocess so the kill hits a genuine process
-(Ray workers, actors, half-written cycle files and all).
+(Ray workers, in-flight tasks, half-written cycle files and all).
 """
 
 import json
@@ -41,8 +41,9 @@ def test_sigkill_mid_stream_then_converge(tmp_path, scheme, merge_mode):
     CAS commit survives a hard kill mid-commit with no rename/fsync
     available (r3 verdict item #4; Iceberg FileIO commit semantics,
     reference main.scala:80, dev.env.example:13-30).  Each scheme runs
-    under both writers: direct deltas (mor) and the owner-actor pool
-    (cow), whose killed actors leave half-written partition rewrites."""
+    under both writers: direct deltas (mor) and the copy-on-write
+    writer (cow), whose killed fold tasks leave half-written partition
+    rewrites."""
     ct = str(tmp_path / "ct")
     tgt = str(tmp_path / "tgt")
     if scheme == "mock":

@@ -217,16 +217,13 @@ def test_direct_mode_accounts_precombined_rows(tmp_path, merge_mode):
         )
     else:
         pool = ActorMergePool(str(tmp_path), num_partitions=4, hash_algo="polars")
-        try:
-            stats = pool.apply_change_batch(
-                ds,
-                cycle_id="c1",
-                partition_files={},
-                schema=t.schema,
-                precombine_threshold=0.0,
-            )
-        finally:
-            pool.shutdown()
+        stats = pool.apply_change_batch(
+            ds,
+            cycle_id="c1",
+            partition_files={},
+            schema=t.schema,
+            precombine_threshold=0.0,
+        )
     m = Manifest(version=1, watermark=0, num_partitions=4)
     metrics = fold_stats_into_manifest(m, stats, "c1")
     assert metrics["precombined_rows"] > 0

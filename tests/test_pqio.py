@@ -316,8 +316,8 @@ def test_replay_range_reads_across_a_migration(tmp_lake):
 
 def test_cow_replays_write_identical_partition_files(tmp_path):
     """Two CoW replays of one feed write the same bytes per partition:
-    each owner merges its pids' slices in unit order, not in the order
-    concurrent push tasks reach it."""
+    each fold task takes its pids' slices in unit order, not in the
+    order concurrent unit tasks finish."""
     import hashlib
 
     def replay(name):

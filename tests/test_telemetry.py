@@ -154,3 +154,41 @@ def test_push_failure_never_fails_the_cycle(tmp_lake, tmp_path):
     )
     StreamRunner(ctx).run()
     assert ManifestLog(tgt).require_watermark().watermark > 0
+
+
+def test_first_commit_s_marks_the_first_cycle_after_bootstrap(tmp_lake, tmp_path):
+    """The first cycle a runner commits after ``bootstrap`` carries
+    ``first_commit_s`` (bootstrap to that commit, at least the cycle's
+    own time) and publishes it; later cycles do not, and a runner
+    bootstrapped again reports it again."""
+    sock_path = str(tmp_path / "dsd.socket")
+    srv = socket.socket(socket.AF_UNIX, socket.SOCK_DGRAM)
+    srv.bind(sock_path)
+    ct, tgt, _ = tmp_lake
+    write_ctlog(ct, small_spec())
+    prepare_watermark(tgt, version=0, num_partitions=4)
+    ctx = StreamContext.from_dict(
+        {
+            "source": {"ctlog_dir": ct, "key_columns": ["url"]},
+            "sink": {"target_root": tgt, "num_partitions": 4},
+            "throughput": {"rows_per_group": 200},
+            "observability": {"statsdTarget": f"uds://{sock_path}"},
+        }
+    )
+    runner = StreamRunner(ctx)
+    runner.bootstrap()
+    first = runner.run_cycle()
+    pushed = _drain(srv)  # one datagram per cycle
+    second = runner.run_cycle()
+    runner.close()
+    srv.close()
+    assert first["first_commit_s"] >= first["cycle_s"] > 0
+    assert "first_commit_s" not in second
+    assert sum(ln.startswith("arcane.stream.first_commit_s:") for d in pushed
+               for ln in d.split("\n")) == 1
+    log = ManifestLog(tgt)
+    assert log.read(log.versions()[1]).metrics["first_commit_s"] == first["first_commit_s"]
+    assert "first_commit_s" not in log.latest().metrics
+
+    restarted = StreamRunner(ctx).run(max_cycles=1)
+    assert restarted[0]["first_commit_s"] >= restarted[0]["cycle_s"]
